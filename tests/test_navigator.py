@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,22 @@ from uasnav.navigator import (
     write_mission_csv,
 )
 from uasnav.policy import PolicyTable
+
+# SHA-256 of the attempted ticks of the reference mission flown in
+# test_mission_is_deterministic. A change that alters perception numbers
+# on purpose updates this constant and says why.
+GOLDEN_MISSION_DIGEST = "441aaf16ef4be2a172abee1f88826e09537414dd1ab5ab8a0a5a0a0807f41e4c"
+
+
+def _attempt_digest(log) -> str:
+    rows = []
+    for r in log.records:
+        if not r.attempted:
+            continue
+        cd = "" if r.center_distance_m is None else f"{r.center_distance_m:.6f}"
+        arrival = "" if r.arrival is None else f"{r.arrival.col},{r.arrival.row}"
+        rows.append(f"{r.tick}|{r.n_matches}|{r.inliers}|{cd}|{arrival}|{r.confirmed}")
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
 class TestExpectedLandmark:
@@ -95,6 +113,7 @@ class TestMission:
         write_mission_csv(log1, p1)
         write_mission_csv(log2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert _attempt_digest(log1) == GOLDEN_MISSION_DIGEST
 
     def test_cyclic_policy_times_out(self, world_and_reg, grid, goal, library):
         world, reg = world_and_reg
