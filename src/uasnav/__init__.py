@@ -2,80 +2,4 @@
 landmark lattice, then fly it by recognizing landmarks with keypoint
 matching and a robust affine center-distance arrival test."""
 
-from .errors import (
-    BoundsError,
-    ConfigError,
-    CoverageError,
-    DegenerateGeometryError,
-    InsufficientMatchesError,
-    InvalidStateError,
-    MatchingError,
-    PolicyFormatError,
-    PolicyInconsistencyError,
-    RasterFormatError,
-    UasNavError,
-)
-from .grid import (
-    Action,
-    EpisodeLog,
-    GridSpec,
-    LandmarkId,
-    RewardSpec,
-    Transition,
-    landmark_position,
-    manhattan,
-    neighbors,
-    random_start,
-    step,
-)
-from .imagery import (
-    OBS_HEIGHT,
-    OBS_WIDTH,
-    PerturbationSpec,
-    Pose,
-    WorldSpec,
-    build_world,
-    ingest_world,
-    landmark_descriptor_image,
-    render_observation,
-)
-from .matching import (
-    AffineTransform,
-    Correspondence,
-    DescriptorSet,
-    Keypoint,
-    MatchParams,
-    MatchResult,
-    arrival_check,
-    build_descriptor_set,
-    center_distance,
-    describe,
-    detect_keypoints,
-    estimate_affine_ransac,
-    match_descriptors,
-    rank_neighbors,
-)
-from .navigator import (
-    LandmarkLibrary,
-    MissionConfig,
-    MissionLog,
-    MissionOutcome,
-    expected_landmark,
-    export_trajectory,
-    run_mission,
-)
-from .policy import (
-    PolicyTable,
-    QTable,
-    TrainConfig,
-    TrainingCurve,
-    evaluate,
-    greedy_policy,
-    load_policy,
-    save_policy,
-    train,
-    value_iteration,
-)
-from .raster import GeoRegistration, RasterImage, read_pnm, read_sidecar, write_pnm, write_sidecar
-
 __version__ = "0.1.0"

@@ -134,6 +134,8 @@ def cmd_eval(args) -> int:
     rewards = cfg.reward_spec()
     out = cfg.output_dir
     policy_path = Path(args.policy) if args.policy else out / str(cfg["mission"]["policy_file"])
+    if cfg["train"]["eval_episodes"] < 1:
+        raise ConfigError("[train]: eval_episodes must be at least 1")
     learned = policymod.load_policy(policy_path)
     if (learned.cols, learned.rows) != (grid.cols, grid.rows):
         raise ConfigError(
@@ -204,12 +206,19 @@ def cmd_match(args) -> int:
         f"center_distance_m={cdist} affine={aff}"
     )
     if args.svg:
-        _write_match_svg(args.svg, obs_img, train_img, result)
+        _write_match_svg(args.svg, obs_img, train_img, obs_set, train_set, result)
     print(f"status=ok inliers={result.inliers} matches={result.n_matches}")
     return 0
 
 
-def _write_match_svg(path, obs_img: RasterImage, train_img: RasterImage, result: matching.MatchResult) -> None:
+def _write_match_svg(
+    path,
+    obs_img: RasterImage,
+    train_img: RasterImage,
+    obs_set: matching.DescriptorSet,
+    train_set: matching.DescriptorSet,
+    result: matching.MatchResult,
+) -> None:
     gap = 16
     w = obs_img.width + train_img.width + gap
     h = max(obs_img.height, train_img.height)
@@ -217,14 +226,16 @@ def _write_match_svg(path, obs_img: RasterImage, train_img: RasterImage, result:
         svgplot.image_panel(obs_img.pixels, 0, 0),
         svgplot.image_panel(train_img.pixels, obs_img.width + gap, 0),
     ]
-    mask = result.inlier_mask
-    for i, c in enumerate(result.correspondences):
-        inlier = bool(mask[i]) if mask is not None else False
+    pairs = result.pairs
+    mask = result.inlier_mask if result.inlier_mask is not None else np.zeros(len(pairs), dtype=bool)
+    query_xy = obs_set.keypoints[pairs[:, 0], :2]
+    train_xy = train_set.keypoints[pairs[:, 1], :2]
+    for (qx, qy), (tx, ty), inlier in zip(query_xy, train_xy, mask):
         color = "#30d030" if inlier else "#d03030"
-        x2 = c.train_kp.x + obs_img.width + gap
+        x2 = tx + obs_img.width + gap
         body.append(
-            f'<line x1="{c.query_kp.x:.1f}" y1="{c.query_kp.y:.1f}" '
-            f'x2="{x2:.1f}" y2="{c.train_kp.y:.1f}" stroke="{color}" '
+            f'<line x1="{qx:.1f}" y1="{qy:.1f}" '
+            f'x2="{x2:.1f}" y2="{ty:.1f}" stroke="{color}" '
             f'stroke-width="0.6" opacity="0.7"/>'
         )
     with open(path, "w") as fh:
@@ -235,6 +246,7 @@ def cmd_fly(args) -> int:
     cfg = _load_run_config(args)
     grid = cfg.grid_spec()
     out = cfg.output_dir
+    perturbation = cfg.perturbation()
     policy_path = Path(args.policy) if args.policy else out / str(cfg["mission"]["policy_file"])
     learned = policymod.load_policy(policy_path)
     if (learned.cols, learned.rows) != (grid.cols, grid.rows):
@@ -256,7 +268,7 @@ def cmd_fly(args) -> int:
         control_step_m=cfg["mission"]["control_step_m"],
         observation_period=cfg["mission"]["observation_period"],
         max_ticks=cfg["mission"]["max_ticks"],
-        perturbation=cfg.perturbation(),
+        perturbation=perturbation,
         match_params=cfg.match_params(),
     )
     log = navigator.run_mission(world, reg, grid, mission_cfg)

@@ -182,15 +182,14 @@ class RunConfig:
 
     def perturbation(self) -> PerturbationSpec:
         m = self.values["mission"]
-        heading_jitter = m["rotation_jitter_rad"]
-        if not -math.pi <= heading_jitter <= math.pi:
-            raise ConfigError("[mission]: rotation_jitter_rad outside [-pi, pi]")
+        if not 0.0 <= m["rotation_jitter_rad"] <= math.pi:
+            raise ConfigError("[mission]: rotation_jitter_rad outside [0, pi]")
         try:
             return PerturbationSpec(
                 gain=m["gain"],
                 bias=m["bias"],
                 noise_sigma=m["noise_sigma"],
-                rotation_jitter=abs(heading_jitter),
+                rotation_jitter=m["rotation_jitter_rad"],
                 translation_jitter=m["translation_jitter_m"],
                 rng_seed=m["seed"],
             )

@@ -8,6 +8,18 @@ normalization), Lowe-ratio plus mutual-best matching, and RANSAC over
 minimal 3-point affine solves refined by least squares. Descriptors are
 not rotation-invariant; that is acceptable because the platform flies
 north-oriented and rotation jitter stays within about ten degrees.
+
+Everything between the stages is a numpy array:
+
+- keypoints: ``(n, 3)`` float64 rows of ``x, y, response``, strongest first;
+- descriptors: ``(n, 128)`` float64 unit rows, one per keypoint row;
+- matches: ``(m, 2)`` integer rows of ``(query, train)`` indices into the
+  two keypoint arrays, in query order;
+- RANSAC input: two ``(m, 2)`` arrays of matched ``x, y`` positions.
+
+``build_descriptor_set`` is the only entry point that takes a raster; it
+converts to a float32 gray plane once and runs detection and description
+on that plane.
 """
 
 from __future__ import annotations
@@ -33,25 +45,6 @@ DESCRIPTOR_DIM = 128
 _PATCH = 16          # descriptor patch side in pixels (8x8 cells of 2x2 px)
 _PATCH_PAD = _PATCH // 2 + 1
 _MIN_IMAGE_SIDE = 32
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    """Sub-pixel corner location with its detector response."""
-
-    x: float
-    y: float
-    response: float
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    query_index: int
-    train_index: int
-    query_kp: Keypoint
-    train_kp: Keypoint
-    distance: float
-    passed_ratio_test: bool
 
 
 @dataclass
@@ -93,7 +86,7 @@ class MatchResult:
     """Outcome of matching one observation against one candidate landmark."""
 
     target: LandmarkId | None
-    correspondences: list[Correspondence]
+    pairs: np.ndarray  # (m, 2) mutual (query, train) keypoint indices
     inliers: int
     affine: AffineTransform | None
     center_distance_m: float | None
@@ -101,7 +94,7 @@ class MatchResult:
 
     @property
     def n_matches(self) -> int:
-        return len(self.correspondences)
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ class MatchParams:
 class DescriptorSet:
     """Keypoints plus their descriptors for one image."""
 
-    keypoints: list[Keypoint]
+    keypoints: np.ndarray  # (n, 3) x, y, response rows
     descriptors: np.ndarray  # (n, 128) unit rows
     image_size: tuple[int, int]  # (width, height)
 
@@ -138,28 +131,23 @@ class DescriptorSet:
         return len(self.keypoints)
 
 
-def _as_gray(img: RasterImage | np.ndarray) -> np.ndarray:
-    if isinstance(img, RasterImage):
-        return to_gray(img)
-    return np.asarray(img, dtype=np.float64)
-
-
 def detect_keypoints(
-    img: RasterImage | np.ndarray,
+    gray: np.ndarray,
     max_keypoints: int = 500,
     nms_radius: int = 8,
     rel_threshold: float = 1e-4,
-) -> list[Keypoint]:
-    """Harris corners, strongest first, with non-maximum suppression.
+) -> np.ndarray:
+    """Harris corners of a 2-D gray plane as ``(n, 3)`` rows of
+    ``x, y, response``, strongest first, with non-maximum suppression.
 
     Candidates are local maxima of the corner response above a threshold
     relative to the global peak; a greedy pass then enforces the NMS radius
     in response order (ties broken by row, then column, so the output is
-    deterministic). Peak positions get a clamped parabolic sub-pixel refine.
+    deterministic). Kept peaks get a clamped parabolic sub-pixel refine.
     """
     if max_keypoints < 1:
         raise ValueError("max_keypoints must be positive")
-    gray = _as_gray(img).astype(np.float32)
+    gray = np.asarray(gray, dtype=np.float32)
     h, w = gray.shape
     if h < _MIN_IMAGE_SIDE or w < _MIN_IMAGE_SIDE:
         raise BoundsError(f"image {w}x{h} smaller than the {_MIN_IMAGE_SIDE} px detector window")
@@ -173,53 +161,57 @@ def detect_keypoints(
 
     peak = response.max()
     if peak <= 1e-12:
-        return []  # flat image: no gradient, no corners
+        return np.zeros((0, 3))  # flat image: no gradient, no corners
     threshold = max(rel_threshold * peak, 1e-12)
     local_max = response == maximum_filter(response, size=2 * nms_radius + 1, mode="nearest")
-    # keep the border clear so descriptor patches always fit
+    # keep the border clear so descriptor patches always fit (and every
+    # kept peak has the four neighbours the sub-pixel refine reads)
     local_max[:_PATCH_PAD, :] = False
     local_max[-_PATCH_PAD:, :] = False
     local_max[:, :_PATCH_PAD] = False
     local_max[:, -_PATCH_PAD:] = False
     ys, xs = np.nonzero(local_max & (response > threshold))
     if len(xs) == 0:
-        return []
+        return np.zeros((0, 3))
     order = np.lexsort((xs, ys, -response[ys, xs]))
     ys, xs = ys[order], xs[order]
 
+    kept = np.empty(max_keypoints, dtype=np.intp)
     kept_x = np.empty(max_keypoints)
     kept_y = np.empty(max_keypoints)
-    kept: list[Keypoint] = []
+    m = 0
     r2 = float(nms_radius) ** 2
-    for x, y in zip(xs, ys):
-        m = len(kept)
+    for i, (x, y) in enumerate(zip(xs, ys)):
         if m:
             dx = kept_x[:m] - x
             dy = kept_y[:m] - y
             if (dx * dx + dy * dy).min() < r2:
                 continue
-        sx = _parabolic_offset(response[y, x - 1], response[y, x], response[y, x + 1]) if 0 < x < w - 1 else 0.0
-        sy = _parabolic_offset(response[y - 1, x], response[y, x], response[y + 1, x]) if 0 < y < h - 1 else 0.0
-        kept_x[m] = x
-        kept_y[m] = y
-        kept.append(Keypoint(x=float(x) + sx, y=float(y) + sy, response=float(response[y, x])))
-        if len(kept) >= max_keypoints:
+        kept[m], kept_x[m], kept_y[m] = i, x, y
+        m += 1
+        if m >= max_keypoints:
             break
-    return kept
+    ys, xs = ys[kept[:m]], xs[kept[:m]]
+
+    center = response[ys, xs]
+    sx = _vertex_offsets(response[ys, xs - 1], center, response[ys, xs + 1])
+    sy = _vertex_offsets(response[ys - 1, xs], center, response[ys + 1, xs])
+    return np.stack([xs + sx, ys + sy, center], axis=1, dtype=np.float64)
 
 
-def _parabolic_offset(left: float, center: float, right: float) -> float:
+def _vertex_offsets(left: np.ndarray, center: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Vertex offset of the parabola through three samples, clamped to half
+    a pixel; zero where the samples are collinear."""
     denom = left - 2.0 * center + right
-    if abs(denom) < 1e-12:
-        return 0.0
-    return float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
+    curved = np.abs(denom) >= 1e-12
+    out = np.zeros_like(denom)
+    out[curved] = np.clip(0.5 * (left[curved] - right[curved]) / denom[curved], -0.5, 0.5)
+    return out
 
 
-def describe(
-    img: RasterImage | np.ndarray,
-    keypoints: list[Keypoint],
-) -> tuple[np.ndarray, list[Keypoint]]:
-    """Upright gradient patch descriptors, one unit-norm 128-vector each.
+def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upright gradient patch descriptors, one unit-norm 128-vector per
+    keypoint row, returned with the keypoint rows they describe.
 
     A 16x16 gradient patch around the keypoint (sampled bilinearly from a
     smoothed gradient field) is average-pooled to 8x8 cells of (gx, gy) and
@@ -228,10 +220,10 @@ def describe(
     intensity changes by construction. Keypoints whose patch leaves the
     image (or has no gradient energy) are dropped and logged.
     """
-    gray = _as_gray(img).astype(np.float32)
+    gray = np.asarray(gray, dtype=np.float32)
     h, w = gray.shape
-    if not keypoints:
-        return np.zeros((0, DESCRIPTOR_DIM)), []
+    if len(keypoints) == 0:
+        return np.zeros((0, DESCRIPTOR_DIM)), keypoints
 
     smoothed = gaussian_filter(gray, sigma=2.0, mode="nearest")
     gy, gx = np.gradient(smoothed)
@@ -239,7 +231,7 @@ def describe(
     offsets = np.arange(_PATCH, dtype=np.float64) - (_PATCH - 1) / 2.0  # cell centers
     oy, ox = np.meshgrid(offsets, offsets, indexing="ij")
 
-    xy = np.array([[kp.x, kp.y] for kp in keypoints])
+    xy = keypoints[:, :2]
     in_bounds = (
         (xy[:, 0] >= _PATCH_PAD)
         & (xy[:, 0] <= w - 1 - _PATCH_PAD)
@@ -266,10 +258,9 @@ def describe(
     dropped += int((~has_energy).sum())
     vec = vec[has_energy] / norms[has_energy][:, None]
 
-    kept = [keypoints[i] for i, ok in zip(sel, has_energy) if ok]
     if dropped:
         logger.debug("describe: dropped %d/%d keypoints (patch out of bounds or flat)", dropped, len(keypoints))
-    return vec, kept
+    return vec, keypoints[sel[has_energy]]
 
 
 def _bilinear(plane: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -284,8 +275,8 @@ def _bilinear(plane: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def build_descriptor_set(img: RasterImage | np.ndarray, params: MatchParams) -> DescriptorSet:
-    gray = _as_gray(img)
+def build_descriptor_set(img: RasterImage, params: MatchParams) -> DescriptorSet:
+    gray = to_gray(img).astype(np.float32)
     kps = detect_keypoints(gray, max_keypoints=params.max_keypoints)
     desc, kept = describe(gray, kps)
     return DescriptorSet(keypoints=kept, descriptors=desc, image_size=(gray.shape[1], gray.shape[0]))
@@ -295,21 +286,22 @@ def match_descriptors(
     query: np.ndarray,
     train: np.ndarray,
     ratio: float = 0.8,
-) -> list[tuple[int, int, float, bool]]:
-    """Nearest-neighbor matches as (query_idx, train_idx, distance, ratio_ok).
+) -> np.ndarray:
+    """Nearest-neighbor matches as ``(m, 2)`` rows of ``(query, train)``
+    indices, in query order.
 
-    Each query keeps its nearest train neighbor when it beats the second
-    nearest by the ratio and the pair is mutually best. With fewer than two
-    train descriptors the ratio test cannot run; the nearest is kept with
-    ratio_ok = False (documented degenerate path). Ties resolve to the
-    lowest index, so output order is deterministic.
+    Each query keeps its nearest train neighbor when the pair is mutually
+    best and the nearest beats the second nearest by the ratio. With fewer
+    than two train descriptors the ratio test cannot run and only the
+    mutual check applies (documented degenerate path). Ties resolve to the
+    lowest index, so the output is deterministic.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
     query = np.asarray(query, dtype=np.float64)
     train = np.asarray(train, dtype=np.float64)
     if len(query) == 0 or len(train) == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.intp)
 
     d2 = (
         np.sum(query * query, axis=1)[:, None]
@@ -321,55 +313,33 @@ def match_descriptors(
 
     nearest = np.argmin(dist, axis=1)
     best_for_train = np.argmin(dist, axis=0)
-    out = []
-    degenerate = train.shape[0] < 2
-    for qi in range(len(query)):
-        ti = int(nearest[qi])
-        if int(best_for_train[ti]) != qi:
-            continue
-        d1 = float(dist[qi, ti])
-        if degenerate:
-            out.append((qi, ti, d1, False))
-            continue
-        row = dist[qi]
-        d2nd = float(np.partition(row, 1)[1])
-        if d1 < ratio * d2nd:
-            out.append((qi, ti, d1, True))
-    return out
-
-
-def match_sets(query: DescriptorSet, train: DescriptorSet, ratio: float = 0.8) -> list[Correspondence]:
-    return [
-        Correspondence(
-            query_index=qi,
-            train_index=ti,
-            query_kp=query.keypoints[qi],
-            train_kp=train.keypoints[ti],
-            distance=d,
-            passed_ratio_test=ok,
-        )
-        for qi, ti, d, ok in match_descriptors(query.descriptors, train.descriptors, ratio)
-    ]
+    q = np.flatnonzero(best_for_train[nearest] == np.arange(len(query)))
+    if len(train) >= 2:
+        second = np.partition(dist[q], 1, axis=1)[:, 1]
+        q = q[dist[q, nearest[q]] < ratio * second]
+    return np.stack([q, nearest[q]], axis=1)
 
 
 def estimate_affine_ransac(
-    correspondences: list[Correspondence],
+    src: np.ndarray,
+    dst: np.ndarray,
     inlier_tol_px: float = 3.0,
     iterations: int = 500,
     rng_seed: int = 0,
 ) -> tuple[AffineTransform, np.ndarray]:
-    """RANSAC affine fit over minimal 3-point solves.
+    """RANSAC affine fit mapping ``(n, 2)`` points ``src`` onto ``dst``,
+    over minimal 3-point solves.
 
     All candidate models are solved in one batch; the winner is the model
     with the most inliers (the earliest iteration wins ties, matching the
     seed order), then refit by least squares on its full inlier set. The
     returned mask is re-evaluated under the refit model.
     """
-    n = len(correspondences)
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    n = len(src)
     if n < 3:
         raise InsufficientMatchesError(f"affine estimation needs >= 3 correspondences, got {n}")
-    src = np.array([[c.query_kp.x, c.query_kp.y] for c in correspondences])
-    dst = np.array([[c.train_kp.x, c.train_kp.y] for c in correspondences])
 
     rng = np.random.default_rng(rng_seed)
     samples = np.stack([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
@@ -422,15 +392,16 @@ def match_images(
     RANSAC failures (too few matches or degenerate geometry) produce a
     result with no affine rather than an exception, so ranking can proceed.
     """
-    corr = match_sets(observation, candidate, params.ratio)
+    pairs = match_descriptors(observation.descriptors, candidate.descriptors, params.ratio)
     affine = None
     mask = None
     inliers = 0
     cdist = None
-    if len(corr) >= 3:
+    if len(pairs) >= 3:
         try:
             affine, mask = estimate_affine_ransac(
-                corr,
+                observation.keypoints[pairs[:, 0], :2],
+                candidate.keypoints[pairs[:, 1], :2],
                 inlier_tol_px=params.inlier_tol_px,
                 iterations=params.ransac_iterations,
                 rng_seed=params.rng_seed,
@@ -441,7 +412,7 @@ def match_images(
             affine, mask, inliers, cdist = None, None, 0, None
     return MatchResult(
         target=target,
-        correspondences=corr,
+        pairs=pairs,
         inliers=inliers,
         affine=affine,
         center_distance_m=cdist,
@@ -450,7 +421,7 @@ def match_images(
 
 
 def rank_neighbors(
-    observation: RasterImage | np.ndarray | DescriptorSet,
+    observation: DescriptorSet,
     candidates: list[tuple[LandmarkId, DescriptorSet]],
     params: MatchParams,
     gsd: float,
@@ -464,13 +435,9 @@ def rank_neighbors(
     """
     if not candidates:
         raise InvalidStateError("rank_neighbors needs at least one candidate")
-    if isinstance(observation, DescriptorSet):
-        obs_set = observation
-    else:
-        obs_set = build_descriptor_set(observation, params)
     results = []
     for idx, (lid, dset) in enumerate(candidates):
-        res = match_images(obs_set, dset, params, gsd, target=lid)
+        res = match_images(observation, dset, params, gsd, target=lid)
         results.append((res.inliers, res.center_distance_m, idx, res))
     results.sort(key=lambda t: (-t[0], t[1] if t[1] is not None else float("inf"), t[2]))
     return [r for _, _, _, r in results]

@@ -165,6 +165,12 @@ def run_mission(
         raise ValueError("max_ticks too small to cross the grid")
     if library is None:
         library = LandmarkLibrary(world, reg, grid, cfg.match_params)
+    elif library.params.max_keypoints != cfg.match_params.max_keypoints:
+        # the library's descriptor sets were detected with its own cap
+        raise InvalidStateError(
+            f"landmark library describes with max_keypoints={library.params.max_keypoints}, "
+            f"mission match params ask for {cfg.match_params.max_keypoints}"
+        )
 
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
     pose = landmark_position(grid, cfg.start).astype(np.float64)

@@ -319,14 +319,14 @@ def evaluate(
     Episodes that fail to reach the goal within ``max_episode_steps``
     (cyclic policies) count as failures at the truncated length.
     """
+    if episodes < 1:
+        raise ValueError("evaluation needs at least one episode")
     rng = np.random.default_rng(rng_seed)
     records = []
     for _ in range(episodes):
         start = random_start(grid, policy.goal, rng)
         log = rollout(grid, rewards, policy, start, max_episode_steps)
         records.append(EvalEpisode(start, log.steps, log.cumulative_reward, log.reached_goal))
-    if not records:
-        return EvalSummary(float("nan"), float("nan"), float("nan"), [])
     return EvalSummary(
         mean_steps=float(np.mean([e.steps for e in records])),
         success_rate=float(np.mean([e.reached_goal for e in records])),

@@ -14,12 +14,7 @@ import pytest
 from uasnav.cli import main
 from uasnav.grid import LandmarkId, landmark_position, manhattan, neighbors, random_start
 from uasnav.imagery import PerturbationSpec, Pose, render_observation
-from uasnav.matching import (
-    Correspondence,
-    Keypoint,
-    estimate_affine_ransac,
-    rank_neighbors,
-)
+from uasnav.matching import build_descriptor_set, estimate_affine_ransac, rank_neighbors
 from uasnav.navigator import MissionConfig, MissionOutcome, run_mission
 from uasnav.policy import (
     TrainConfig,
@@ -125,11 +120,7 @@ def test_criterion_4_affine_recovery(capsys):
         dst_out = rng.uniform(0.0, 480.0, (n_out, 2))
         src = np.vstack([src_in, src_out])
         dst = np.vstack([dst_in, dst_out])
-        corr = [
-            Correspondence(i, i, Keypoint(*src[i], 1.0), Keypoint(*dst[i], 1.0), 0.0, True)
-            for i in range(len(src))
-        ]
-        model, _ = estimate_affine_ransac(corr, inlier_tol_px=2.0, iterations=200, rng_seed=trial)
+        model, _ = estimate_affine_ransac(src, dst, inlier_tol_px=2.0, iterations=200, rng_seed=trial)
         trans_err = float(np.abs(model.translation - truth[:, 2]).max())
         rot_err = abs(math.degrees(model.rotation - theta))
         if trans_err < 0.5 and rot_err < 0.5:
@@ -156,7 +147,7 @@ def test_criterion_5_landmark_recognition_robustness(world_and_reg, grid, match_
             rng_seed=int(master.integers(1 << 31)),
         )
         pos = landmark_position(grid, lid)
-        obs = render_observation(world, reg, Pose(pos[0], pos[1]), perturb)
+        obs = build_descriptor_set(render_observation(world, reg, Pose(pos[0], pos[1]), perturb), match_params)
         candidates = [(lid, library.get(lid))] + [
             (nid, library.get(nid)) for nid in neighbors(grid, lid).values() if nid is not None
         ]

@@ -144,6 +144,15 @@ class TestCliTrainEval:
         assert "episodes=0" in captured.out
         assert (tmp_path / "curve.csv").read_text().strip() == "episode,reward,steps,epsilon"
 
+    def test_zero_eval_episodes_exits_2(self, outdir, capsys):
+        code = main(["eval", "--set", f"run.output_dir={outdir}", "--set", "train.eval_episodes=0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        last = captured.out.strip().splitlines()[-1]
+        assert last.startswith("status=error code=2")
+        assert "eval_episodes" in last
+        assert "nan" not in captured.out
+
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         code = main(["train", "--set", f"run.output_dir={tmp_path}", "--set", "train.alpha=0.5"])
         captured = capsys.readouterr()
@@ -250,6 +259,18 @@ class TestCliBuildEnvAndFly:
         captured = capsys.readouterr()
         assert code == 2
         assert "goal" in captured.out
+
+    def test_fly_rejects_negative_rotation_jitter(self, tmp_path, capsys):
+        code = main([
+            "fly",
+            "--set", f"run.output_dir={tmp_path}",
+            "--set", "mission.rotation_jitter_rad=-0.05",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        last = captured.out.strip().splitlines()[-1]
+        assert last.startswith("status=error code=2")
+        assert "rotation_jitter_rad" in last
 
     def test_ingest_round_trip_is_byte_identical(self, built, tmp_path, capsys):
         out = tmp_path / "reexport"

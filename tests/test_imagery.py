@@ -19,7 +19,7 @@ from uasnav.imagery import (
     required_world_bounds,
 )
 from uasnav.matching import detect_keypoints
-from uasnav.raster import GeoRegistration, RasterImage
+from uasnav.raster import GeoRegistration, RasterImage, to_gray
 
 
 class TestBuildWorld:
@@ -91,7 +91,7 @@ class TestDescriptorImage:
         world, reg = world_and_reg
         for lid in grid.all_landmarks():
             crop = landmark_descriptor_image(world, reg, grid, lid)
-            kps = detect_keypoints(crop, max_keypoints=1000)
+            kps = detect_keypoints(to_gray(crop), max_keypoints=1000)
             assert len(kps) >= 200, f"landmark ({lid.col},{lid.row}) has only {len(kps)} keypoints"
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uasnav.errors import (
     BoundsError,
@@ -11,11 +12,10 @@ from uasnav.errors import (
 )
 from uasnav.grid import LandmarkId, landmark_position, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_observation
-from uasnav.raster import RasterImage
+from uasnav.raster import RasterImage, to_gray
 from uasnav.matching import (
     AffineTransform,
-    Correspondence,
-    Keypoint,
+    DescriptorSet,
     MatchParams,
     MatchResult,
     arrival_check,
@@ -30,12 +30,18 @@ from uasnav.matching import (
 )
 
 
-def _corr(src, dst):
-    return [
-        Correspondence(i, i, Keypoint(float(s[0]), float(s[1]), 1.0),
-                       Keypoint(float(d[0]), float(d[1]), 1.0), 0.0, True)
-        for i, (s, d) in enumerate(zip(src, dst))
-    ]
+def _reference_matches(query, train, ratio):
+    """Per-query loop version of match_descriptors, kept as its reference."""
+    d2 = np.sum(query * query, axis=1)[:, None] + np.sum(train * train, axis=1)[None, :] - 2.0 * (query @ train.T)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    out = []
+    for qi in range(len(query)):
+        ti = int(np.argmin(dist[qi]))
+        if int(np.argmin(dist[:, ti])) != qi:
+            continue
+        if len(train) < 2 or dist[qi, ti] < ratio * np.sort(dist[qi])[1]:
+            out.append((qi, ti))
+    return np.array(out, dtype=int).reshape(-1, 2)
 
 
 def _rotation_affine(theta, tx, ty):
@@ -45,14 +51,14 @@ def _rotation_affine(theta, tx, ty):
 
 class TestDetect:
     def test_constant_image_has_no_corners(self):
-        assert detect_keypoints(np.full((64, 64), 99.0), 10) == []
+        assert detect_keypoints(np.full((64, 64), 99.0), 10).shape == (0, 3)
 
     def test_single_bright_pixel(self):
         img = np.zeros((64, 64))
         img[30, 33] = 255.0
         kps = detect_keypoints(img, 10)
-        assert kps
-        assert math.hypot(kps[0].x - 33, kps[0].y - 30) <= 1.0
+        assert len(kps)
+        assert math.hypot(kps[0, 0] - 33, kps[0, 1] - 30) <= 1.0
 
     def test_checkerboard_corner_lattice(self):
         cell = 16
@@ -60,23 +66,22 @@ class TestDetect:
         board = (((idx[:, None] // cell) + (idx[None, :] // cell)) % 2) * 200.0 + 20.0
         kps = detect_keypoints(board, 200)
         corners = [(x * cell, y * cell) for x in range(1, 10) for y in range(1, 10)]
-        for kp in kps:
-            nearest = min(math.hypot(kp.x - cx, kp.y - cy) for cx, cy in corners)
+        for x, y, _ in kps:
+            nearest = min(math.hypot(x - cx, y - cy) for cx, cy in corners)
             assert nearest <= 1.0
 
     def test_sorted_by_response_and_capped(self, world_and_reg, grid):
         world, reg = world_and_reg
-        crop = landmark_descriptor_image(world, reg, grid, LandmarkId(1, 1))
+        crop = to_gray(landmark_descriptor_image(world, reg, grid, LandmarkId(1, 1)))
         kps = detect_keypoints(crop, 50)
-        assert len(kps) == 50
-        responses = [k.response for k in kps]
-        assert responses == sorted(responses, reverse=True)
+        assert kps.shape == (50, 3)
+        assert np.all(np.diff(kps[:, 2]) <= 0)
 
     def test_nms_radius_enforced(self, world_and_reg, grid):
         world, reg = world_and_reg
-        crop = landmark_descriptor_image(world, reg, grid, LandmarkId(1, 1))
+        crop = to_gray(landmark_descriptor_image(world, reg, grid, LandmarkId(1, 1)))
         kps = detect_keypoints(crop, 300, nms_radius=8)
-        pts = np.array([[k.x, k.y] for k in kps])
+        pts = kps[:, :2]
         d2 = np.sum((pts[:, None] - pts[None]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
         # integer peaks are >= radius apart; subpixel refinement moves each < 0.5
@@ -88,8 +93,8 @@ class TestDetect:
 
     def test_deterministic(self, world_and_reg, grid):
         world, reg = world_and_reg
-        crop = landmark_descriptor_image(world, reg, grid, LandmarkId(8, 2))
-        assert detect_keypoints(crop, 100) == detect_keypoints(crop, 100)
+        crop = to_gray(landmark_descriptor_image(world, reg, grid, LandmarkId(8, 2)))
+        assert np.array_equal(detect_keypoints(crop, 100), detect_keypoints(crop, 100))
 
 
 class TestDescribe:
@@ -118,17 +123,16 @@ class TestDescribe:
         img = np.full((60, 130), 128.0)
         img[10:50, 10:50] = patch
         img[10:50, 80:120] = patch
-        kps = [Keypoint(30.0, 30.0, 1.0), Keypoint(100.0, 30.0, 1.0)]
+        kps = np.array([[30.0, 30.0, 1.0], [100.0, 30.0, 1.0]])
         desc, kept = describe(img, kps)
         assert len(kept) == 2
         assert np.allclose(desc[0], desc[1], atol=1e-12)
 
     def test_out_of_bounds_keypoints_dropped(self):
         img = self._texture()
-        kps = [Keypoint(2.0, 2.0, 1.0), Keypoint(60.0, 60.0, 1.0)]
+        kps = np.array([[2.0, 2.0, 1.0], [60.0, 60.0, 1.0]])
         desc, kept = describe(img, kps)
-        assert len(kept) == 1
-        assert kept[0].x == 60.0
+        assert np.array_equal(kept, kps[1:])
 
 
 class TestMatch:
@@ -137,11 +141,7 @@ class TestMatch:
         kps = detect_keypoints(img, 50)
         desc, _ = describe(img, kps)
         matches = match_descriptors(desc, desc, ratio=0.8)
-        assert len(matches) == len(desc)
-        for qi, ti, dist, ok in matches:
-            assert qi == ti
-            assert dist < 1e-6
-            assert ok
+        assert np.array_equal(matches, np.repeat(np.arange(len(desc))[:, None], 2, axis=1))
 
     def test_disjoint_random_vectors_rarely_match(self):
         rng = np.random.default_rng(6)
@@ -152,21 +152,41 @@ class TestMatch:
         matches = match_descriptors(q, t, ratio=0.8)
         assert len(matches) <= 5  # <= 5% of query size
 
-    def test_single_train_degenerate_path(self):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_query=st.integers(1, 30),
+        n_train=st.integers(1, 30),
+        dim=st.integers(2, 8),
+        ratio=st.floats(0.05, 1.0),
+    )
+    def test_mutual_best_symmetry_property(self, seed, n_query, n_train, dim, ratio):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(n_query, dim))
+        t = rng.normal(size=(n_train, dim))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        dist = np.linalg.norm(q[:, None] - t[None], axis=2)
+
+        full = match_descriptors(q, t, ratio=1.0)
+        assert full.shape[1] == 2
+        assert np.all(np.diff(full[:, 0]) > 0)  # query order, one match per query
+        # every pair is mutual-best
+        assert np.array_equal(np.argmin(dist[full[:, 0]], axis=1), full[:, 1])
+        assert np.array_equal(np.argmin(dist[:, full[:, 1]], axis=0), full[:, 0])
+        # at ratio 1.0 matching is symmetric in its arguments
+        swapped = match_descriptors(t, q, ratio=1.0)[:, ::-1]
+        assert np.array_equal(swapped[np.argsort(swapped[:, 0])], full)
+        # a stricter ratio only removes pairs, exactly those the loop removes
+        strict = match_descriptors(q, t, ratio=ratio)
+        assert {tuple(p) for p in strict} <= {tuple(p) for p in full}
+        assert np.array_equal(strict, _reference_matches(q, t, ratio))
+
+    def test_single_train_skips_ratio_test(self):
+        # one train vector: only the mutual check applies, whatever the ratio
         q = np.eye(128)[:3]
         t = np.eye(128)[:1]
-        matches = match_descriptors(q, t, ratio=0.8)
-        assert matches == [(0, 0, 0.0, False)]
-
-    def test_cross_check_is_mutual(self):
-        # two queries collapse onto one train vector: only the best survives
-        t = np.eye(128)[:5]
-        q = np.vstack([t[0], t[0] * 0.9 + t[1] * 0.1])
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        matches = match_descriptors(q, t, ratio=0.99)
-        qis = [m[0] for m in matches]
-        assert qis.count(0) + qis.count(1) <= 2
-        assert all(m[1] != 0 or m[0] == 0 for m in matches)
+        assert np.array_equal(match_descriptors(q, t, ratio=0.01), [[0, 0]])
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
@@ -179,13 +199,13 @@ class TestRansac:
         src = rng.uniform(0, 600, (80, 2))
         a = np.array([[1.02, -0.11, 31.0], [0.09, 0.97, -12.0]])
         dst = src @ a[:, :2].T + a[:, 2]
-        model, mask = estimate_affine_ransac(_corr(src, dst), inlier_tol_px=3.0, iterations=100, rng_seed=1)
+        model, mask = estimate_affine_ransac(src, dst, inlier_tol_px=3.0, iterations=100, rng_seed=1)
         assert np.abs(model.matrix - a).max() < 1e-6
         assert mask.all()
 
     def test_minimal_exact_identity(self):
         src = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
-        model, mask = estimate_affine_ransac(_corr(src, src), inlier_tol_px=1.0, iterations=10, rng_seed=0)
+        model, mask = estimate_affine_ransac(src, src, inlier_tol_px=1.0, iterations=10, rng_seed=0)
         assert np.abs(model.matrix - AffineTransform.identity().matrix).max() < 1e-9
         assert mask.sum() == 3
 
@@ -197,8 +217,8 @@ class TestRansac:
         dst_in = src_in @ truth[:, :2].T + truth[:, 2]
         src_out = rng.uniform(0, 600, (n_out, 2))
         dst_out = rng.uniform(0, 600, (n_out, 2))
-        corr = _corr(np.vstack([src_in, src_out]), np.vstack([dst_in, dst_out]))
-        model, mask = estimate_affine_ransac(corr, inlier_tol_px=2.0, iterations=200, rng_seed=9)
+        src, dst = np.vstack([src_in, src_out]), np.vstack([dst_in, dst_out])
+        model, mask = estimate_affine_ransac(src, dst, inlier_tol_px=2.0, iterations=200, rng_seed=9)
         assert np.abs(model.translation - truth[:, 2]).max() < 0.5
         assert abs(math.degrees(model.rotation) - 6.0) < 0.5
         assert mask.sum() >= n_in
@@ -206,20 +226,19 @@ class TestRansac:
     def test_too_few_correspondences(self):
         src = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InsufficientMatchesError):
-            estimate_affine_ransac(_corr(src, src), 3.0, 10, 0)
+            estimate_affine_ransac(src, src, 3.0, 10, 0)
 
     def test_collinear_points_degenerate(self):
         src = np.array([[float(i), float(i)] for i in range(10)])
         with pytest.raises(DegenerateGeometryError):
-            estimate_affine_ransac(_corr(src, src), 3.0, 50, 0)
+            estimate_affine_ransac(src, src, 3.0, 50, 0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         src = rng.uniform(0, 600, (60, 2))
         dst = src + rng.normal(0, 1.0, src.shape)
-        corr = _corr(src, dst)
-        m1, k1 = estimate_affine_ransac(corr, 2.0, 100, rng_seed=4)
-        m2, k2 = estimate_affine_ransac(corr, 2.0, 100, rng_seed=4)
+        m1, k1 = estimate_affine_ransac(src, dst, 2.0, 100, rng_seed=4)
+        m2, k2 = estimate_affine_ransac(src, dst, 2.0, 100, rng_seed=4)
         assert np.array_equal(m1.matrix, m2.matrix)
         assert np.array_equal(k1, k2)
 
@@ -259,7 +278,7 @@ class TestRankNeighbors:
         world, reg = world_and_reg
         lid = LandmarkId(4, 6)
         pos = landmark_position(grid, lid)
-        obs = render_observation(world, reg, Pose(pos[0], pos[1]))
+        obs = build_descriptor_set(render_observation(world, reg, Pose(pos[0], pos[1])), match_params)
         ranked = rank_neighbors(obs, self._candidates(world, reg, grid, match_params, lid), match_params, reg.gsd)
         assert ranked[0].target == lid
         assert ranked[0].center_distance_m <= reg.gsd  # within one pixel
@@ -267,8 +286,8 @@ class TestRankNeighbors:
     def test_self_match_inlier_ratio(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
         lid = LandmarkId(7, 3)
-        crop = landmark_descriptor_image(world, reg, grid, lid)
-        ranked = rank_neighbors(crop, [(lid, library.get(lid))], match_params, reg.gsd)
+        obs = build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), match_params)
+        ranked = rank_neighbors(obs, [(lid, library.get(lid))], match_params, reg.gsd)
         res = ranked[0]
         assert res.inliers / res.n_matches >= 0.9
         assert res.center_distance_m <= reg.gsd
@@ -279,27 +298,28 @@ class TestRankNeighbors:
         noise = RasterImage(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
         lid = LandmarkId(5, 5)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
-        ranked = rank_neighbors(noise, cands, match_params, reg.gsd)
+        ranked = rank_neighbors(build_descriptor_set(noise, match_params), cands, match_params, reg.gsd)
         for res in ranked:
             assert not arrival_check(res, match_params.distance_threshold_m, match_params.min_inliers)
 
     def test_single_candidate(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
         lid = LandmarkId(0, 9)
-        crop = landmark_descriptor_image(world, reg, grid, lid)
-        ranked = rank_neighbors(crop, [(lid, library.get(lid))], match_params, reg.gsd)
+        obs = build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), match_params)
+        ranked = rank_neighbors(obs, [(lid, library.get(lid))], match_params, reg.gsd)
         assert len(ranked) == 1
 
     def test_empty_candidates_rejected(self, match_params):
         with pytest.raises(InvalidStateError):
-            rank_neighbors(np.zeros((480, 640)), [], match_params, 0.25)
+            empty = DescriptorSet(np.zeros((0, 3)), np.zeros((0, 128)), (640, 480))
+            rank_neighbors(empty, [], match_params, 0.25)
 
     def test_deterministic(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
         lid = LandmarkId(6, 6)
         pos = landmark_position(grid, lid)
         perturb = PerturbationSpec(gain=1.2, noise_sigma=3.0, rng_seed=13)
-        obs = render_observation(world, reg, Pose(pos[0], pos[1]), perturb)
+        obs = build_descriptor_set(render_observation(world, reg, Pose(pos[0], pos[1]), perturb), match_params)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
         r1 = rank_neighbors(obs, cands, match_params, reg.gsd)
         r2 = rank_neighbors(obs, cands, match_params, reg.gsd)
@@ -312,7 +332,7 @@ class TestArrivalCheck:
     def _result(self, inliers, cd, with_affine=True):
         return MatchResult(
             target=None,
-            correspondences=[],
+            pairs=np.zeros((0, 2), dtype=int),
             inliers=inliers,
             affine=AffineTransform.identity() if with_affine else None,
             center_distance_m=cd if with_affine else None,
@@ -343,7 +363,8 @@ def test_match_images_reports_raw_and_inlier_counts():
     rng = np.random.default_rng(15)
     img = rng.uniform(0, 255, (200, 200))
     params = MatchParams(max_keypoints=120)
-    dset = build_descriptor_set(img, params)
+    desc, kept = describe(img, detect_keypoints(img, params.max_keypoints))
+    dset = DescriptorSet(kept, desc, (200, 200))
     res = match_images(dset, dset, params, gsd=0.25)
     assert res.n_matches >= res.inliers
     assert res.inlier_mask is not None and len(res.inlier_mask) == res.n_matches

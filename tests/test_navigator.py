@@ -141,6 +141,15 @@ class TestMission:
         assert log.nearest_miss_m is not None
         assert log.nearest_miss_m <= min(grid.spacing_x, grid.spacing_y) / 2.0
 
+    def test_library_keypoint_cap_must_match_mission(self, world_and_reg, grid, optimal_policy, goal, library):
+        world, reg = world_and_reg
+        params = MatchParams(max_keypoints=library.params.max_keypoints + 1)
+        cfg = MissionConfig(
+            start=LandmarkId(5, 4), goal=goal, policy=optimal_policy, match_params=params
+        )
+        with pytest.raises(InvalidStateError, match="max_keypoints"):
+            run_mission(world, reg, grid, cfg, library=library)
+
     def test_policy_wall_command_raises(self, world_and_reg, grid, goal, library):
         world, reg = world_and_reg
         suicidal = {

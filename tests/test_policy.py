@@ -142,6 +142,10 @@ class TestEvaluate:
         failed = [e for e in summary.episodes if not e.reached_goal]
         assert failed and all(e.steps == 80 for e in failed)
 
+    def test_zero_episodes_rejected(self, grid, rewards, optimal_policy):
+        with pytest.raises(ValueError, match="at least one episode"):
+            evaluate(grid, rewards, optimal_policy, episodes=0, rng_seed=1)
+
     def test_enumerated_mean_value(self, grid, goal):
         # sum of manhattan distances to the center cell is 500 over 99 starts
         assert enumerated_mean_manhattan(grid, goal) == pytest.approx(500.0 / 99.0)
