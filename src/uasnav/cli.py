@@ -182,19 +182,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_match(args) -> int:
+    # no provenance echo: stdout stays the report line plus the status line
+    cfg = cfgmod.load_config(args.config, cfgmod.parse_overrides(args.set or []))
+    params = cfg.match_params()
+    gsd = cfg.world_spec().gsd
     obs_img = read_pnm(args.obs)
     train_img = read_pnm(args.landmark)
-    params = matching.MatchParams(
-        max_keypoints=args.max_keypoints,
-        ratio=args.ratio,
-        inlier_tol_px=args.inlier_tol,
-        ransac_iterations=args.iterations,
-        min_inliers=args.min_inliers,
-        rng_seed=args.seed,
-    )
     obs_set = matching.build_descriptor_set(obs_img, params)
     train_set = matching.build_descriptor_set(train_img, params)
-    result = matching.match_images(obs_set, train_set, params, gsd=args.gsd)
+    result = matching.match_images(obs_set, train_set, params, gsd=gsd)
     if result.affine is not None:
         aff = " ".join(f"{v:.6f}" for v in result.affine.matrix.reshape(-1))
         cdist = f"{result.center_distance_m:.6f}"
@@ -320,13 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match one observation image against one landmark image")
     p.add_argument("--obs", required=True, help="observation image (PPM/PGM)")
     p.add_argument("--landmark", required=True, help="landmark descriptor image (PPM/PGM)")
-    p.add_argument("--gsd", type=float, default=0.25, help="meters per pixel for the center distance")
-    p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--inlier-tol", type=float, default=3.0)
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--min-inliers", type=int, default=30)
-    p.add_argument("--max-keypoints", type=int, default=500)
-    p.add_argument("--seed", type=int, default=5)
+    _add_config_args(p)
     p.add_argument("--svg", help="write a side-by-side correspondence SVG here")
     p.set_defaults(func=cmd_match)
 

@@ -2,90 +2,115 @@
 
 Sections are fixed ([run], [grid], [rewards], [train], [imagery],
 [matching], [mission]); unknown sections or keys are rejected outright.
-Every key has a documented default so a missing file still yields a
-complete reproduction config; each defaulted key is reported as a
+Every key has a default so a missing file still yields a complete
+reproduction config; each defaulted key is reported as a
 ``section.key = value (default)`` provenance line. Command-line overrides
 (``section.key=value``) are applied on top of the file and win.
+
+Defaults live in the dataclasses (``GridSpec``, ``RewardSpec``,
+``TrainConfig``, ``WorldSpec``, ``MatchParams``, ``PerturbationSpec``,
+``MissionConfig``): ``_SCHEMA`` binds each key to the field it feeds and
+reads the default and its type from that field. Only keys that feed no
+field (paths, goal and start cells, evaluation settings, the mission seed)
+hold a literal default here.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .grid import GridSpec, LandmarkId, RewardSpec
 from .imagery import PerturbationSpec, WorldSpec
 from .matching import MatchParams
+from .navigator import MissionConfig
 from .policy import TrainConfig
 
-_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
+# section -> key -> the (dataclass, field) it feeds, with an element index
+# for the tuple-valued ``origin``; keys that feed no field hold a literal
+_SCHEMA: dict[str, dict[str, object]] = {
     "run": {
-        "output_dir": (str, "out"),
+        "output_dir": "out",
     },
     "grid": {
-        "cols": (int, 10),
-        "rows": (int, 10),
-        "spacing_x_m": (float, 40.0),
-        "spacing_y_m": (float, 30.0),
-        "origin_x_m": (float, 0.0),
-        "origin_y_m": (float, 0.0),
-        "goal_col": (int, 5),
-        "goal_row": (int, 5),
-        "max_episode_steps": (int, 200),
+        "cols": (GridSpec, "cols"),
+        "rows": (GridSpec, "rows"),
+        "spacing_x_m": (GridSpec, "spacing_x"),
+        "spacing_y_m": (GridSpec, "spacing_y"),
+        "origin_x_m": (GridSpec, "origin", 0),
+        "origin_y_m": (GridSpec, "origin", 1),
+        "goal_col": 5,
+        "goal_row": 5,
+        "max_episode_steps": (TrainConfig, "max_episode_steps"),
     },
     "rewards": {
-        "goal_reward": (float, 0.1),
-        "collision_penalty": (float, -0.001),
-        "step_penalty": (float, -0.0001),
+        "goal_reward": (RewardSpec, "goal_reward"),
+        "collision_penalty": (RewardSpec, "collision_penalty"),
+        "step_penalty": (RewardSpec, "step_penalty"),
     },
     "train": {
-        "episodes": (int, 2000),
-        "learning_rate": (float, 0.1),
-        "discount": (float, 0.99),
-        "epsilon_start": (float, 1.0),
-        "epsilon_end": (float, 0.05),
-        "epsilon_decay": (float, 0.95 / 150.0),
-        "seed": (int, 17),
-        "eval_episodes": (int, 100),
-        "eval_seed": (int, 23),
+        "episodes": (TrainConfig, "episodes"),
+        "learning_rate": (TrainConfig, "learning_rate"),
+        "discount": (TrainConfig, "discount"),
+        "epsilon_start": (TrainConfig, "epsilon_start"),
+        "epsilon_end": (TrainConfig, "epsilon_end"),
+        "epsilon_decay": (TrainConfig, "epsilon_decay"),
+        "seed": (TrainConfig, "rng_seed"),
+        "eval_episodes": 100,
+        "eval_seed": 23,
     },
     "imagery": {
-        "mode": (str, "synthetic"),  # synthetic | ingest
-        "seed": (int, 99),
-        "gsd_m_per_px": (float, 0.25),
-        "margin_x_m": (float, 100.0),
-        "margin_y_m": (float, 80.0),
-        "ingest_raster": (str, ""),  # source files for mode = ingest
-        "ingest_sidecar": (str, ""),
-        "world_raster": (str, "world.ppm"),  # output names inside output_dir
-        "world_sidecar": (str, "world.json"),
+        "mode": "synthetic",  # synthetic | ingest
+        "seed": (WorldSpec, "seed"),
+        "gsd_m_per_px": (WorldSpec, "gsd"),
+        "margin_x_m": (WorldSpec, "margin_x_m"),
+        "margin_y_m": (WorldSpec, "margin_y_m"),
+        "ingest_raster": "",  # source files for mode = ingest
+        "ingest_sidecar": "",
+        "world_raster": "world.ppm",  # output names inside output_dir
+        "world_sidecar": "world.json",
     },
     "matching": {
-        "max_keypoints": (int, 500),
-        "ratio": (float, 0.8),
-        "inlier_tol_px": (float, 3.0),
-        "ransac_iterations": (int, 500),
-        "min_inliers": (int, 30),
-        "arrival_distance_m": (float, 5.0),
-        "seed": (int, 5),
+        "max_keypoints": (MatchParams, "max_keypoints"),
+        "ratio": (MatchParams, "ratio"),
+        "inlier_tol_px": (MatchParams, "inlier_tol_px"),
+        "ransac_iterations": (MatchParams, "ransac_iterations"),
+        "min_inliers": (MatchParams, "min_inliers"),
+        "arrival_distance_m": (MatchParams, "distance_threshold_m"),
+        "seed": (MatchParams, "rng_seed"),
     },
     "mission": {
-        "start_col": (int, 0),
-        "start_row": (int, 0),
-        "control_step_m": (float, 1.0),
-        "observation_period": (int, 2),
-        "max_ticks": (int, 4000),
-        "gain": (float, 1.0),
-        "bias": (float, 0.0),
-        "noise_sigma": (float, 0.0),
-        "rotation_jitter_rad": (float, 0.0),
-        "translation_jitter_m": (float, 0.0),
-        "seed": (int, 11),
-        "policy_file": (str, "policy.txt"),
+        "start_col": 0,
+        "start_row": 0,
+        "control_step_m": (MissionConfig, "control_step_m"),
+        "observation_period": (MissionConfig, "observation_period"),
+        "max_ticks": (MissionConfig, "max_ticks"),
+        "gain": (PerturbationSpec, "gain"),
+        "bias": (PerturbationSpec, "bias"),
+        "noise_sigma": (PerturbationSpec, "noise_sigma"),
+        "rotation_jitter_rad": (PerturbationSpec, "rotation_jitter"),
+        "translation_jitter_m": (PerturbationSpec, "translation_jitter"),
+        "seed": 11,  # the mission's own render seed, not PerturbationSpec's 0
+        "policy_file": "policy.txt",
     },
+}
+
+
+def _default(binding: object) -> object:
+    """The default of a schema entry: its field's default, or the literal."""
+    if not isinstance(binding, tuple):
+        return binding
+    cls, name, *item = binding
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return default[item[0]] if item else default
+
+
+_DEFAULTS = {
+    section: {key: _default(binding) for key, binding in keys.items()}
+    for section, keys in _SCHEMA.items()
 }
 
 
@@ -105,18 +130,22 @@ class RunConfig:
     def output_dir(self) -> Path:
         return Path(str(self.values["run"]["output_dir"]))
 
+    def _build(self, section: str, cls: type, **extra):
+        """``cls`` from the keys of ``section`` bound to its fields, plus
+        ``extra``; a value the dataclass rejects is a ConfigError."""
+        kwargs = {
+            binding[1]: self.values[section][key]
+            for key, binding in _SCHEMA[section].items()
+            if isinstance(binding, tuple) and binding[0] is cls and len(binding) == 2
+        }
+        try:
+            return cls(**kwargs, **extra)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from None
+
     def grid_spec(self) -> GridSpec:
         g = self.values["grid"]
-        try:
-            return GridSpec(
-                cols=g["cols"],
-                rows=g["rows"],
-                spacing_x=g["spacing_x_m"],
-                spacing_y=g["spacing_y_m"],
-                origin=(g["origin_x_m"], g["origin_y_m"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[grid]: {exc}") from None
+        return self._build("grid", GridSpec, origin=(g["origin_x_m"], g["origin_y_m"]))
 
     def goal(self) -> LandmarkId:
         g = self.values["grid"]
@@ -125,76 +154,27 @@ class RunConfig:
         return lid
 
     def reward_spec(self) -> RewardSpec:
-        r = self.values["rewards"]
-        try:
-            return RewardSpec(
-                goal_reward=r["goal_reward"],
-                collision_penalty=r["collision_penalty"],
-                step_penalty=r["step_penalty"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[rewards]: {exc}") from None
+        return self._build("rewards", RewardSpec)
 
     def train_config(self) -> TrainConfig:
-        t = self.values["train"]
-        try:
-            return TrainConfig(
-                episodes=t["episodes"],
-                learning_rate=t["learning_rate"],
-                discount=t["discount"],
-                epsilon_start=t["epsilon_start"],
-                epsilon_end=t["epsilon_end"],
-                epsilon_decay=t["epsilon_decay"],
-                rng_seed=t["seed"],
-                max_episode_steps=self.values["grid"]["max_episode_steps"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[train]: {exc}") from None
+        return self._build(
+            "train", TrainConfig, max_episode_steps=self.values["grid"]["max_episode_steps"]
+        )
 
     def world_spec(self) -> WorldSpec:
-        i = self.values["imagery"]
-        if i["mode"] not in ("synthetic", "ingest"):
-            raise ConfigError(f"[imagery]: mode must be 'synthetic' or 'ingest', got {i['mode']!r}")
-        try:
-            return WorldSpec(
-                seed=i["seed"],
-                gsd=i["gsd_m_per_px"],
-                margin_x_m=i["margin_x_m"],
-                margin_y_m=i["margin_y_m"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[imagery]: {exc}") from None
+        mode = self.values["imagery"]["mode"]
+        if mode not in ("synthetic", "ingest"):
+            raise ConfigError(f"[imagery]: mode must be 'synthetic' or 'ingest', got {mode!r}")
+        return self._build("imagery", WorldSpec)
 
     def match_params(self) -> MatchParams:
-        m = self.values["matching"]
-        try:
-            return MatchParams(
-                max_keypoints=m["max_keypoints"],
-                ratio=m["ratio"],
-                inlier_tol_px=m["inlier_tol_px"],
-                ransac_iterations=m["ransac_iterations"],
-                min_inliers=m["min_inliers"],
-                distance_threshold_m=m["arrival_distance_m"],
-                rng_seed=m["seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[matching]: {exc}") from None
+        return self._build("matching", MatchParams)
 
     def perturbation(self) -> PerturbationSpec:
         m = self.values["mission"]
         if not 0.0 <= m["rotation_jitter_rad"] <= math.pi:
             raise ConfigError("[mission]: rotation_jitter_rad outside [0, pi]")
-        try:
-            return PerturbationSpec(
-                gain=m["gain"],
-                bias=m["bias"],
-                noise_sigma=m["noise_sigma"],
-                rotation_jitter=m["rotation_jitter_rad"],
-                translation_jitter=m["translation_jitter_m"],
-                rng_seed=m["seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[mission]: {exc}") from None
+        return self._build("mission", PerturbationSpec, rng_seed=m["seed"])
 
     def mission_start(self) -> LandmarkId:
         m = self.values["mission"]
@@ -205,11 +185,7 @@ class RunConfig:
 
 def _convert(section: str, key: str, raw: str, typ: type) -> object:
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return str(raw)
+        return typ(raw)  # int, float or str
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {typ.__name__}, got {raw!r}"
@@ -259,11 +235,11 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
 
     values: dict[str, dict[str, object]] = {}
     provenance: list[str] = []
-    for section, keys in _SCHEMA.items():
+    for section, defaults in _DEFAULTS.items():
         values[section] = {}
-        for key, (typ, default) in keys.items():
+        for key, default in defaults.items():
             if section in file_values and key in file_values[section]:
-                values[section][key] = _convert(section, key, file_values[section][key], typ)
+                values[section][key] = _convert(section, key, file_values[section][key], type(default))
             else:
                 values[section][key] = default
                 shown = f"{default:.6g}" if isinstance(default, float) else str(default)
@@ -275,9 +251,9 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
 def write_reference_config(path) -> None:
     """Emit a fully explicit config file with current defaults."""
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, defaults in _DEFAULTS.items():
         lines.append(f"[{section}]")
-        for key, (typ, default) in keys.items():
+        for key, default in defaults.items():
             shown = f"{default:.6g}" if isinstance(default, float) else str(default)
             lines.append(f"{key} = {shown}")
         lines.append("")

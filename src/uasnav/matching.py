@@ -45,6 +45,8 @@ DESCRIPTOR_DIM = 128
 _PATCH = 16          # descriptor patch side in pixels (8x8 cells of 2x2 px)
 _PATCH_PAD = _PATCH // 2 + 1
 _MIN_IMAGE_SIDE = 32
+NMS_RADIUS = 8       # px between kept corners
+_REL_THRESHOLD = 1e-4  # corner response floor relative to the image's peak
 
 
 @dataclass
@@ -131,12 +133,7 @@ class DescriptorSet:
         return len(self.keypoints)
 
 
-def detect_keypoints(
-    gray: np.ndarray,
-    max_keypoints: int = 500,
-    nms_radius: int = 8,
-    rel_threshold: float = 1e-4,
-) -> np.ndarray:
+def detect_keypoints(gray: np.ndarray, max_keypoints: int) -> np.ndarray:
     """Harris corners of a 2-D gray plane as ``(n, 3)`` rows of
     ``x, y, response``, strongest first, with non-maximum suppression.
 
@@ -162,8 +159,8 @@ def detect_keypoints(
     peak = response.max()
     if peak <= 1e-12:
         return np.zeros((0, 3))  # flat image: no gradient, no corners
-    threshold = max(rel_threshold * peak, 1e-12)
-    local_max = response == maximum_filter(response, size=2 * nms_radius + 1, mode="nearest")
+    threshold = max(_REL_THRESHOLD * peak, 1e-12)
+    local_max = response == maximum_filter(response, size=2 * NMS_RADIUS + 1, mode="nearest")
     # keep the border clear so descriptor patches always fit (and every
     # kept peak has the four neighbours the sub-pixel refine reads)
     local_max[:_PATCH_PAD, :] = False
@@ -180,7 +177,7 @@ def detect_keypoints(
     kept_x = np.empty(max_keypoints)
     kept_y = np.empty(max_keypoints)
     m = 0
-    r2 = float(nms_radius) ** 2
+    r2 = float(NMS_RADIUS) ** 2
     for i, (x, y) in enumerate(zip(xs, ys)):
         if m:
             dx = kept_x[:m] - x
@@ -282,11 +279,7 @@ def build_descriptor_set(img: RasterImage, params: MatchParams) -> DescriptorSet
     return DescriptorSet(keypoints=kept, descriptors=desc, image_size=(gray.shape[1], gray.shape[0]))
 
 
-def match_descriptors(
-    query: np.ndarray,
-    train: np.ndarray,
-    ratio: float = 0.8,
-) -> np.ndarray:
+def match_descriptors(query: np.ndarray, train: np.ndarray, ratio: float) -> np.ndarray:
     """Nearest-neighbor matches as ``(m, 2)`` rows of ``(query, train)``
     indices, in query order.
 
@@ -323,9 +316,9 @@ def match_descriptors(
 def estimate_affine_ransac(
     src: np.ndarray,
     dst: np.ndarray,
-    inlier_tol_px: float = 3.0,
-    iterations: int = 500,
-    rng_seed: int = 0,
+    inlier_tol_px: float,
+    iterations: int,
+    rng_seed: int,
 ) -> tuple[AffineTransform, np.ndarray]:
     """RANSAC affine fit mapping ``(n, 2)`` points ``src`` onto ``dst``,
     over minimal 3-point solves.

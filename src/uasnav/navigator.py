@@ -35,6 +35,10 @@ from .raster import GeoRegistration, RasterImage
 from . import svgplot
 
 
+LEG_SLACK_M = 10.0  # extra travel allowed past a landmark before giving up
+_SVG_DOWNSAMPLE = 4  # world pixels per trajectory-overlay pixel
+
+
 class MissionOutcome(Enum):
     REACHED_GOAL = "reached_goal"
     TIMEOUT = "timeout"
@@ -51,7 +55,6 @@ class MissionConfig:
     max_ticks: int = 4000
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
     match_params: MatchParams = field(default_factory=MatchParams)
-    leg_slack_m: float = 10.0  # extra travel allowed past a landmark before giving up
 
     def __post_init__(self):
         if self.start == self.goal:
@@ -197,7 +200,7 @@ def run_mission(
         leg_budget = (
             float(np.linalg.norm(target_pos - pose))
             + 2.0 * cfg.match_params.distance_threshold_m
-            + cfg.leg_slack_m
+            + LEG_SLACK_M
         )
         travelled = 0.0
         min_true = math.inf
@@ -326,7 +329,6 @@ def export_trajectory(
     world: RasterImage | None = None,
     reg: GeoRegistration | None = None,
     grid: GridSpec | None = None,
-    downsample: int = 4,
 ) -> None:
     """Write the per-tick CSV and, when the world context is supplied, an
     SVG overlay of the flight on a downsampled world raster with the
@@ -337,8 +339,8 @@ def export_trajectory(
     if world is None or reg is None or grid is None:
         raise ValueError("SVG export needs world, registration, and grid")
 
-    small = world.pixels[::downsample, ::downsample]
-    scale = 1.0 / downsample
+    small = world.pixels[::_SVG_DOWNSAMPLE, ::_SVG_DOWNSAMPLE]
+    scale = 1.0 / _SVG_DOWNSAMPLE
 
     def to_svg(x_m: float, y_m: float) -> tuple[float, float]:
         p = reg.world_to_pixel(np.array([x_m, y_m]))

@@ -180,7 +180,7 @@ def value_iteration(
     grid: GridSpec,
     rewards: RewardSpec,
     goal: LandmarkId,
-    gamma: float = 0.99,
+    gamma: float = TrainConfig.discount,
     tol: float = 1e-10,
     max_iterations: int = 1_000_000,
 ) -> QTable:

@@ -132,10 +132,10 @@ def line_chart(
         fh.write("\n".join(parts) + "\n")
 
 
-def image_panel(pixels: np.ndarray, x: float, y: float, scale: float = 1.0) -> str:
+def image_panel(pixels: np.ndarray, x: float, y: float) -> str:
     h, w = pixels.shape[:2]
     return (
-        f'<image x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w * scale)}" height="{_fmt(h * scale)}" '
+        f'<image x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
         f'preserveAspectRatio="none" href="{png_data_uri(pixels)}"/>'
     )
 

@@ -1,10 +1,15 @@
+from dataclasses import fields
+
 import pytest
 
 from uasnav.cli import main
 from uasnav.config import load_config, parse_overrides, write_reference_config
 from uasnav.errors import ConfigError
-from uasnav.grid import LandmarkId
-from uasnav.imagery import landmark_descriptor_image
+from uasnav.grid import GridSpec, LandmarkId, RewardSpec
+from uasnav.imagery import PerturbationSpec, WorldSpec, landmark_descriptor_image
+from uasnav.matching import MatchParams
+from uasnav.navigator import MissionConfig
+from uasnav.policy import TrainConfig
 from uasnav.raster import read_pnm, write_pnm
 
 
@@ -17,6 +22,18 @@ class TestConfig:
         # every key defaulted when no file is given
         total_keys = sum(len(v) for v in cfg.values.values())
         assert len(cfg.provenance) == total_keys
+
+    def test_defaults_match_dataclasses(self):
+        cfg = load_config(None)
+        assert cfg.grid_spec() == GridSpec()
+        assert cfg.reward_spec() == RewardSpec()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.world_spec() == WorldSpec()
+        assert cfg.match_params() == MatchParams()
+        assert cfg.perturbation() == PerturbationSpec(rng_seed=11)
+        kinematics = {f.name: f.default for f in fields(MissionConfig)}
+        for key in ("control_step_m", "observation_period", "max_ticks"):
+            assert cfg["mission"][key] == kinematics[key]
 
     def test_file_values_override_defaults(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -193,6 +210,31 @@ class TestCliMatch:
         report = captured.out.strip().splitlines()[0]
         cd = float(report.split("center_distance_m=")[1].split(" ")[0])
         assert cd == pytest.approx(40.0, abs=1.0)  # one column spacing away
+
+    def test_gsd_comes_from_config(self, image_pair, capsys):
+        obs, landmark = image_pair
+        code = main([
+            "match", "--obs", str(obs), "--landmark", str(landmark),
+            "--set", "imagery.gsd_m_per_px=0.5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 2  # report and status, no provenance echo
+        cd = float(lines[0].split("center_distance_m=")[1].split(" ")[0])
+        assert cd == pytest.approx(80.0, abs=2.0)  # same pixels, twice the meters
+
+    def test_bad_matching_value_exits_2(self, image_pair, capsys):
+        obs, landmark = image_pair
+        code = main([
+            "match", "--obs", str(obs), "--landmark", str(landmark),
+            "--set", "matching.ratio=2",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        last = captured.out.strip().splitlines()[-1]
+        assert last.startswith("status=error code=2")
+        assert "[matching]" in last
 
     def test_svg_visualization(self, image_pair, tmp_path, capsys):
         obs, landmark = image_pair

@@ -14,6 +14,7 @@ from uasnav.grid import LandmarkId, landmark_position, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_observation
 from uasnav.raster import RasterImage, to_gray
 from uasnav.matching import (
+    NMS_RADIUS,
     AffineTransform,
     DescriptorSet,
     MatchParams,
@@ -80,12 +81,12 @@ class TestDetect:
     def test_nms_radius_enforced(self, world_and_reg, grid):
         world, reg = world_and_reg
         crop = to_gray(landmark_descriptor_image(world, reg, grid, LandmarkId(1, 1)))
-        kps = detect_keypoints(crop, 300, nms_radius=8)
+        kps = detect_keypoints(crop, 300)
         pts = kps[:, :2]
         d2 = np.sum((pts[:, None] - pts[None]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
         # integer peaks are >= radius apart; subpixel refinement moves each < 0.5
-        assert math.sqrt(d2.min()) >= 8.0 - 1.0
+        assert math.sqrt(d2.min()) >= NMS_RADIUS - 1.0
 
     def test_image_too_small(self):
         with pytest.raises(BoundsError):
