@@ -4,7 +4,9 @@ Sections are fixed ([run], [grid], [rewards], [train], [imagery],
 [matching], [mission]); unknown sections or keys are rejected outright.
 Every key has a default so a missing file still yields a complete
 reproduction config; each defaulted key is reported as a
-``section.key = value (default)`` provenance line. Command-line overrides
+``section.key = value (default)`` provenance line. Values are written in
+Python's shortest round-trip form, so the provenance lines and the
+reference file read back to the same values. Command-line overrides
 (``section.key=value``) are applied on top of the file and win.
 
 Defaults live in the dataclasses (``GridSpec``, ``RewardSpec``,
@@ -242,8 +244,7 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
                 values[section][key] = _convert(section, key, file_values[section][key], type(default))
             else:
                 values[section][key] = default
-                shown = f"{default:.6g}" if isinstance(default, float) else str(default)
-                provenance.append(f"{section}.{key} = {shown} (default)")
+                provenance.append(f"{section}.{key} = {default} (default)")
 
     return RunConfig(values=values, provenance=provenance, path=Path(path) if path else None)
 
@@ -254,8 +255,7 @@ def write_reference_config(path) -> None:
     for section, defaults in _DEFAULTS.items():
         lines.append(f"[{section}]")
         for key, default in defaults.items():
-            shown = f"{default:.6g}" if isinstance(default, float) else str(default)
-            lines.append(f"{key} = {shown}")
+            lines.append(f"{key} = {default}")
         lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

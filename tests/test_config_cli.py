@@ -83,6 +83,7 @@ class TestConfig:
         cfg = load_config(p)
         assert cfg.provenance == []
         assert cfg["mission"]["policy_file"] == "policy.txt"
+        assert cfg.values == load_config(None).values
 
     def test_goal_inside_grid(self, tmp_path):
         p = tmp_path / "run.ini"
