@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidStateError, PolicyInconsistencyError
+from .errors import CoverageError, InvalidStateError, PolicyInconsistencyError
 from .grid import Action, GridSpec, LandmarkId, landmark_position, neighbors
 from .imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_observation
 from .matching import (
@@ -70,7 +70,6 @@ class TickRecord:
     tick: int
     x: float
     y: float
-    heading: float
     action: Action
     attempted: bool = False
     n_matches: int = 0
@@ -140,6 +139,15 @@ _ACTION_DIRECTION = {
 }
 
 
+def _overrun(min_true: float, near_pass_m: float) -> tuple[MissionOutcome, float | None]:
+    """How a leg that ends without an arrival ends the mission: MATCH_FAILURE
+    with the nearest miss if the craft passed near the landmark (recognition
+    failed), TIMEOUT otherwise."""
+    if min_true <= near_pass_m:
+        return MissionOutcome.MATCH_FAILURE, min_true
+    return MissionOutcome.TIMEOUT, None
+
+
 def run_mission(
     world: RasterImage,
     reg: GeoRegistration,
@@ -158,7 +166,8 @@ def run_mission(
     shrinking. The policy is then consulted at the reached landmark; the
     next leg starts from the true, drifted pose. Legs that overrun their
     travel budget end the mission: MATCH_FAILURE if the craft actually
-    passed near the landmark (recognition failed), TIMEOUT otherwise;
+    passed near the landmark (recognition failed), TIMEOUT otherwise. A leg
+    whose jittered footprint leaves the world raster ends the same way;
     exceeding ``max_ticks`` is always TIMEOUT.
     """
     grid.check(cfg.start)
@@ -215,13 +224,19 @@ def run_mission(
             tick += 1
             travelled += cfg.control_step_m
             min_true = min(min_true, float(np.linalg.norm(pose - target_pos)))
-            rec = TickRecord(tick=tick, x=float(pose[0]), y=float(pose[1]), heading=0.0, action=action)
+            rec = TickRecord(tick=tick, x=float(pose[0]), y=float(pose[1]), action=action)
 
             if tick % cfg.observation_period == 0:
                 attempt += 1
-                obs = render_observation(
-                    world, reg, Pose(float(pose[0]), float(pose[1])), cfg.perturbation, rng=rng
-                )
+                try:
+                    obs = render_observation(
+                        world, reg, Pose(float(pose[0]), float(pose[1])), cfg.perturbation, rng=rng
+                    )
+                except CoverageError:
+                    # the craft can no longer observe this leg: it overruns here
+                    records.append(rec)
+                    outcome, nearest_miss = _overrun(min_true, near_pass_m)
+                    break
                 obs_set = build_descriptor_set(obs, cfg.match_params)
                 attempt_params = replace(
                     cfg.match_params, rng_seed=cfg.match_params.rng_seed + attempt
@@ -269,11 +284,7 @@ def run_mission(
             records.append(rec)
 
             if not arrived and outcome is None and travelled >= leg_budget:
-                if min_true <= near_pass_m:
-                    outcome = MissionOutcome.MATCH_FAILURE
-                    nearest_miss = min_true
-                else:
-                    outcome = MissionOutcome.TIMEOUT
+                outcome, nearest_miss = _overrun(min_true, near_pass_m)
                 break
 
     return MissionLog(
@@ -288,7 +299,7 @@ def run_mission(
 
 
 MISSION_CSV_HEADER = (
-    "tick,x_m,y_m,heading_rad,action,attempted,matches,inliers,"
+    "tick,x_m,y_m,action,attempted,matches,inliers,"
     "center_distance_m,arrival_col,arrival_row,confirmed"
 )
 
@@ -302,7 +313,6 @@ def write_mission_csv(log: MissionLog, path) -> None:
                 r.tick,
                 f"{r.x:.6f}",
                 f"{r.y:.6f}",
-                f"{r.heading:.6f}",
                 r.action.token,
                 int(r.attempted),
                 r.n_matches if r.attempted else "",

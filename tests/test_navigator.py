@@ -16,7 +16,7 @@ from uasnav.navigator import (
     run_mission,
     write_mission_csv,
 )
-from uasnav.policy import PolicyTable
+from uasnav.policy import PolicyTable, greedy_policy, value_iteration
 
 # SHA-256 of the attempted ticks of the reference mission flown in
 # test_mission_is_deterministic. A change that alters perception numbers
@@ -140,6 +140,25 @@ class TestMission:
         assert log.outcome == MissionOutcome.MATCH_FAILURE
         assert log.nearest_miss_m is not None
         assert log.nearest_miss_m <= min(grid.spacing_x, grid.spacing_y) / 2.0
+
+    def test_footprint_leaving_raster_ends_leg(self, world_and_reg, grid, rewards, library):
+        world, reg = world_and_reg
+        # the gate stays shut, the craft flies past the east edge landmark,
+        # and a jittered footprint leaves the world raster before the leg
+        # budget runs out
+        goal = LandmarkId(9, 5)
+        cfg = MissionConfig(
+            start=LandmarkId(8, 5),
+            goal=goal,
+            policy=greedy_policy(value_iteration(grid, rewards, goal), grid),
+            match_params=MatchParams(min_inliers=100_000),
+            perturbation=PerturbationSpec(rotation_jitter=0.17, translation_jitter=3.0, rng_seed=1),
+        )
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.MATCH_FAILURE
+        assert log.nearest_miss_m is not None
+        assert log.nearest_miss_m <= min(grid.spacing_x, grid.spacing_y) / 2.0
+        assert log.arrivals == []
 
     def test_library_keypoint_cap_must_match_mission(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
