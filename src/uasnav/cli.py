@@ -242,7 +242,7 @@ def cmd_fly(args) -> int:
     cfg = _load_run_config(args)
     grid = cfg.grid_spec()
     out = cfg.output_dir
-    perturbation = cfg.perturbation()
+    cfg.perturbation()  # a bad perturbation exits 2 even before the policy is read
     policy_path = Path(args.policy) if args.policy else out / str(cfg["mission"]["policy_file"])
     learned = policymod.load_policy(policy_path)
     if (learned.cols, learned.rows) != (grid.cols, grid.rows):
@@ -256,17 +256,8 @@ def cmd_fly(args) -> int:
             f"policy goal ({learned.goal.col},{learned.goal.row}) does not match "
             f"configured goal ({goal.col},{goal.row})"
         )
+    mission_cfg = cfg.mission_config(learned)
     world, reg = _resolve_world(cfg, grid)
-    mission_cfg = navigator.MissionConfig(
-        start=cfg.mission_start(),
-        goal=goal,
-        policy=learned,
-        control_step_m=cfg["mission"]["control_step_m"],
-        observation_period=cfg["mission"]["observation_period"],
-        max_ticks=cfg["mission"]["max_ticks"],
-        perturbation=perturbation,
-        match_params=cfg.match_params(),
-    )
     log = navigator.run_mission(world, reg, grid, mission_cfg)
     out.mkdir(parents=True, exist_ok=True)
     navigator.export_trajectory(

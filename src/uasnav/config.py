@@ -29,7 +29,7 @@ from .grid import GridSpec, LandmarkId, RewardSpec
 from .imagery import PerturbationSpec, WorldSpec
 from .matching import MatchParams
 from .navigator import MissionConfig
-from .policy import TrainConfig
+from .policy import PolicyTable, TrainConfig
 
 # section -> key -> the (dataclass, field) it feeds, with an element index
 # for the tuple-valued ``origin``; keys that feed no field hold a literal
@@ -183,6 +183,17 @@ class RunConfig:
         lid = LandmarkId(m["start_col"], m["start_row"])
         self.grid_spec().check(lid)
         return lid
+
+    def mission_config(self, policy: PolicyTable) -> MissionConfig:
+        return self._build(
+            "mission",
+            MissionConfig,
+            start=self.mission_start(),
+            goal=self.goal(),
+            policy=policy,
+            perturbation=self.perturbation(),
+            match_params=self.match_params(),
+        )
 
 
 def _convert(section: str, key: str, raw: str, typ: type) -> object:

@@ -65,16 +65,6 @@ class PerturbationSpec:
         if self.noise_sigma < 0 or self.rotation_jitter < 0 or self.translation_jitter < 0:
             raise ValueError("jitter magnitudes must be non-negative")
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.gain == 1.0
-            and self.bias == 0.0
-            and self.noise_sigma == 0.0
-            and self.rotation_jitter == 0.0
-            and self.translation_jitter == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class WorldSpec:

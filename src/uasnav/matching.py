@@ -25,6 +25,7 @@ on that plane.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,27 +414,23 @@ def match_images(
     )
 
 
-def rank_neighbors(
-    observation: DescriptorSet,
-    candidates: list[tuple[LandmarkId, DescriptorSet]],
-    params: MatchParams,
-    gsd: float,
-) -> list[MatchResult]:
-    """Match one observation against candidate landmark descriptor sets and
-    rank by inlier count (the in-flight use matches the four cardinal
-    neighbors of the last confirmed landmark).
+def rank_neighbors(results: list[MatchResult]) -> list[MatchResult]:
+    """Order match results of one observation against candidate landmarks
+    (in flight, the departure cell's neighbors) by inlier count.
 
-    Ties break by smaller center distance, then candidate order; candidates
+    Ties break by smaller center distance, then input position; results
     without a model rank last. Deterministic.
     """
-    if not candidates:
-        raise InvalidStateError("rank_neighbors needs at least one candidate")
-    results = []
-    for idx, (lid, dset) in enumerate(candidates):
-        res = match_images(observation, dset, params, gsd, target=lid)
-        results.append((res.inliers, res.center_distance_m, idx, res))
-    results.sort(key=lambda t: (-t[0], t[1] if t[1] is not None else float("inf"), t[2]))
-    return [r for _, _, _, r in results]
+    if not results:
+        raise InvalidStateError("rank_neighbors needs at least one result")
+    return sorted(
+        results,
+        key=lambda r: (
+            r.affine is None,
+            -r.inliers,
+            r.center_distance_m if r.center_distance_m is not None else math.inf,
+        ),
+    )
 
 
 def arrival_check(result: MatchResult, distance_threshold_m: float, min_inliers: int) -> bool:

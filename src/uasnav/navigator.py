@@ -25,6 +25,7 @@ from .imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_o
 from .matching import (
     DescriptorSet,
     MatchParams,
+    MatchResult,
     arrival_check,
     build_descriptor_set,
     match_images,
@@ -79,21 +80,11 @@ class TickRecord:
     confirmed: bool | None = None
 
 
-@dataclass(frozen=True)
-class ArrivalEvent:
-    tick: int
-    landmark: LandmarkId
-    inliers: int
-    center_distance_m: float
-    confirmed: bool
-
-
 @dataclass
 class MissionLog:
     start: LandmarkId
     goal: LandmarkId
     records: list[TickRecord]
-    arrivals: list[ArrivalEvent]
     outcome: MissionOutcome
     distance_flown_m: float
     nearest_miss_m: float | None = None
@@ -101,6 +92,11 @@ class MissionLog:
     @property
     def ticks(self) -> int:
         return len(self.records)
+
+    @property
+    def arrivals(self) -> list[TickRecord]:
+        """The tick records of the arrivals, in flight order."""
+        return [r for r in self.records if r.arrival is not None]
 
 
 class LandmarkLibrary:
@@ -131,14 +127,6 @@ def expected_landmark(grid: GridSpec, current: LandmarkId, action: Action) -> La
     return nbr
 
 
-_ACTION_DIRECTION = {
-    Action.FORWARD: np.array([0.0, 1.0]),
-    Action.BACKWARD: np.array([0.0, -1.0]),
-    Action.LEFT: np.array([-1.0, 0.0]),
-    Action.RIGHT: np.array([1.0, 0.0]),
-}
-
-
 def _overrun(min_true: float, near_pass_m: float) -> tuple[MissionOutcome, float | None]:
     """How a leg that ends without an arrival ends the mission: MATCH_FAILURE
     with the nearest miss if the craft passed near the landmark (recognition
@@ -146,6 +134,22 @@ def _overrun(min_true: float, near_pass_m: float) -> tuple[MissionOutcome, float
     if min_true <= near_pass_m:
         return MissionOutcome.MATCH_FAILURE, min_true
     return MissionOutcome.TIMEOUT, None
+
+
+def closest_approach(res: MatchResult, best_cd: float, sample_floor: float, min_inliers: int) -> bool:
+    """Whether this attempt ends the leg at the closest approach.
+
+    Only a solid match (a model and at least ``min_inliers`` inliers) can
+    arrive. It arrives when its center distance is within one sampling
+    interval (``sample_floor``, at most the gate's distance threshold; such
+    a distance cannot meaningfully improve) or when
+    the distance has stopped shrinking since ``best_cd``, the smallest
+    distance of an earlier attempt of the leg that passed the arrival gate
+    (``math.inf`` before one has).
+    """
+    if res.affine is None or res.inliers < min_inliers:
+        return False
+    return res.center_distance_m <= sample_floor or res.center_distance_m >= best_cd
 
 
 def run_mission(
@@ -160,142 +164,108 @@ def run_mission(
     Each tick advances the pose by ``control_step_m`` along the commanded
     cardinal direction. Every ``observation_period`` ticks an observation is
     rendered and matched against the expected landmark. Arrival is declared
-    at the shortest perceived center distance: checks must first pass the
-    arrival gate (model + inliers + distance threshold), and the landmark
-    counts as reached on the next solid match whose distance stops
-    shrinking. The policy is then consulted at the reached landmark; the
-    next leg starts from the true, drifted pose. Legs that overrun their
-    travel budget end the mission: MATCH_FAILURE if the craft actually
-    passed near the landmark (recognition failed), TIMEOUT otherwise. A leg
-    whose jittered footprint leaves the world raster ends the same way;
-    exceeding ``max_ticks`` is always TIMEOUT.
+    at the shortest perceived center distance (``closest_approach``): checks
+    must first pass the arrival gate (model + inliers + distance threshold),
+    and the landmark counts as reached on the next solid match whose
+    distance stops shrinking. The policy is then consulted at the reached
+    landmark; the next leg starts from the true, drifted pose. Legs that
+    overrun their travel budget end the mission: MATCH_FAILURE if the craft
+    actually passed near the landmark (recognition failed), TIMEOUT
+    otherwise. A leg whose jittered footprint leaves the world raster ends
+    the same way; exceeding ``max_ticks`` is always TIMEOUT.
     """
     grid.check(cfg.start)
     grid.check(cfg.goal)
     diameter_m = (grid.cols - 1) * grid.spacing_x + (grid.rows - 1) * grid.spacing_y
     if cfg.max_ticks * cfg.control_step_m <= diameter_m:
-        raise ValueError("max_ticks too small to cross the grid")
+        raise InvalidStateError("max_ticks too small to cross the grid")
+    params = cfg.match_params
     if library is None:
-        library = LandmarkLibrary(world, reg, grid, cfg.match_params)
-    elif library.params.max_keypoints != cfg.match_params.max_keypoints:
+        library = LandmarkLibrary(world, reg, grid, params)
+    elif library.params.max_keypoints != params.max_keypoints:
         # the library's descriptor sets were detected with its own cap
         raise InvalidStateError(
             f"landmark library describes with max_keypoints={library.params.max_keypoints}, "
-            f"mission match params ask for {cfg.match_params.max_keypoints}"
+            f"mission match params ask for {params.max_keypoints}"
         )
 
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
+    sample_floor = min(cfg.control_step_m * cfg.observation_period, params.distance_threshold_m)
+    near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     cell = cfg.start
     records: list[TickRecord] = []
-    arrivals: list[ArrivalEvent] = []
-    tick = 0
-    attempt = 0
-    outcome: MissionOutcome | None = None
-    nearest_miss: float | None = None
-    near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
 
-    while outcome is None:
-        if cell == cfg.goal:
-            outcome = MissionOutcome.REACHED_GOAL
-            break
+    def end(outcome: MissionOutcome, nearest_miss: float | None = None) -> MissionLog:
+        return MissionLog(
+            start=cfg.start,
+            goal=cfg.goal,
+            records=records,
+            outcome=outcome,
+            distance_flown_m=len(records) * cfg.control_step_m,
+            nearest_miss_m=nearest_miss,
+        )
+
+    while cell != cfg.goal:
         try:
             action = cfg.policy.action_at(cell)
         except KeyError:
             raise PolicyInconsistencyError(f"policy undefined at ({cell.col},{cell.row})") from None
         target = expected_landmark(grid, cell, action)
         target_pos = landmark_position(grid, target)
-        direction = _ACTION_DIRECTION[action]
+        step = cfg.control_step_m * np.array(action.displacement, dtype=np.float64)
         leg_budget = (
-            float(np.linalg.norm(target_pos - pose))
-            + 2.0 * cfg.match_params.distance_threshold_m
-            + LEG_SLACK_M
+            float(np.linalg.norm(target_pos - pose)) + 2.0 * params.distance_threshold_m + LEG_SLACK_M
         )
         travelled = 0.0
         min_true = math.inf
-        best_cd: float | None = None  # smallest gate-passing center distance this leg
-        arrived = False
+        best_cd = math.inf  # smallest gate-passing center distance this leg
 
-        while not arrived:
-            if tick >= cfg.max_ticks:
-                outcome = MissionOutcome.TIMEOUT
-                break
-            pose = pose + cfg.control_step_m * direction
-            tick += 1
+        while True:
+            if len(records) >= cfg.max_ticks:
+                return end(MissionOutcome.TIMEOUT)
+            pose = pose + step
             travelled += cfg.control_step_m
             min_true = min(min_true, float(np.linalg.norm(pose - target_pos)))
-            rec = TickRecord(tick=tick, x=float(pose[0]), y=float(pose[1]), action=action)
+            rec = TickRecord(tick=len(records) + 1, x=float(pose[0]), y=float(pose[1]), action=action)
+            records.append(rec)
 
-            if tick % cfg.observation_period == 0:
-                attempt += 1
+            if rec.tick % cfg.observation_period == 0:
                 try:
-                    obs = render_observation(
-                        world, reg, Pose(float(pose[0]), float(pose[1])), cfg.perturbation, rng=rng
-                    )
+                    obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
                 except CoverageError:
                     # the craft can no longer observe this leg: it overruns here
-                    records.append(rec)
-                    outcome, nearest_miss = _overrun(min_true, near_pass_m)
-                    break
-                obs_set = build_descriptor_set(obs, cfg.match_params)
-                attempt_params = replace(
-                    cfg.match_params, rng_seed=cfg.match_params.rng_seed + attempt
+                    return end(*_overrun(min_true, near_pass_m))
+                obs_set = build_descriptor_set(obs, params)
+                attempt = rec.tick // cfg.observation_period
+                res = match_images(
+                    obs_set, library.get(target), replace(params, rng_seed=params.rng_seed + attempt),
+                    reg.gsd, target=target,
                 )
-                res = match_images(obs_set, library.get(target), attempt_params, reg.gsd, target=target)
                 rec.attempted = True
                 rec.n_matches = res.n_matches
                 rec.inliers = res.inliers
                 rec.center_distance_m = res.center_distance_m
-                # Arrival = shortest perceived center distance: once a check has
-                # passed the arrival gate, the first solid match whose distance
-                # stops shrinking marks the closest approach. A distance already
-                # below one sampling interval cannot meaningfully improve, so it
-                # counts as the closest approach outright.
-                passes = arrival_check(
-                    res, cfg.match_params.distance_threshold_m, cfg.match_params.min_inliers
-                )
-                sample_floor = min(
-                    cfg.control_step_m * cfg.observation_period,
-                    cfg.match_params.distance_threshold_m,
-                )
-                rising = (
-                    best_cd is not None
-                    and res.affine is not None
-                    and res.inliers >= cfg.match_params.min_inliers
-                    and res.center_distance_m >= best_cd
-                )
-                if (passes and res.center_distance_m <= sample_floor) or rising:
-                    arrived = True
-                    cand = [
-                        (nid, library.get(nid))
+                if closest_approach(res, best_cd, sample_floor, params.min_inliers):
+                    # re-rank the departure cell's neighbors, reusing this
+                    # attempt's match of the target
+                    results = [
+                        res if nid == target
+                        else match_images(obs_set, library.get(nid), params, reg.gsd, target=nid)
                         for nid in neighbors(grid, cell).values()
                         if nid is not None
                     ]
-                    ranked = rank_neighbors(obs_set, cand, cfg.match_params, reg.gsd)
-                    confirmed = ranked[0].target == target
-                    arrivals.append(
-                        ArrivalEvent(tick, target, res.inliers, res.center_distance_m, confirmed)
-                    )
                     rec.arrival = target
-                    rec.confirmed = confirmed
-                    cell = target
-                elif passes:
-                    best_cd = res.center_distance_m if best_cd is None else min(best_cd, res.center_distance_m)
-            records.append(rec)
+                    rec.confirmed = rank_neighbors(results)[0].target == target
+                    break
+                if arrival_check(res, params.distance_threshold_m, params.min_inliers):
+                    best_cd = res.center_distance_m
 
-            if not arrived and outcome is None and travelled >= leg_budget:
-                outcome, nearest_miss = _overrun(min_true, near_pass_m)
-                break
+            if travelled >= leg_budget:
+                return end(*_overrun(min_true, near_pass_m))
+        cell = target
 
-    return MissionLog(
-        start=cfg.start,
-        goal=cfg.goal,
-        records=records,
-        arrivals=arrivals,
-        outcome=outcome,
-        distance_flown_m=tick * cfg.control_step_m,
-        nearest_miss_m=nearest_miss,
-    )
+    return end(MissionOutcome.REACHED_GOAL)
 
 
 MISSION_CSV_HEADER = (
@@ -365,9 +335,9 @@ def export_trajectory(
     if pts:
         body.append(f'<polyline points="{pts}" fill="none" stroke="#00d0ff" stroke-width="1.5"/>')
     for ev in log.arrivals:
-        pos = landmark_position(grid, ev.landmark)
+        pos = landmark_position(grid, ev.arrival)
         x, y = to_svg(pos[0], pos[1])
-        color = "#30e030" if ev.landmark == log.goal else "#ff4040"
+        color = "#30e030" if ev.arrival == log.goal else "#ff4040"
         body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="none" stroke="{color}" stroke-width="2"/>')
     sx, sy = to_svg(*landmark_position(grid, log.start))
     body.append(f'<text x="{sx + 7:.2f}" y="{sy - 7:.2f}" fill="#00d0ff">start</text>')

@@ -51,9 +51,6 @@ class QTable:
         if not 0.0 < self.discount < 1.0:
             raise ValueError(f"discount must be in (0, 1), got {self.discount}")
 
-    def state_values(self) -> np.ndarray:
-        return self.values.max(axis=1)
-
     def greedy_action(self, grid: GridSpec, state: LandmarkId) -> Action:
         # np.argmax keeps the lowest enum index on ties; deterministic.
         return Action(int(np.argmax(self.values[grid.flat_index(state)])))
@@ -75,11 +72,6 @@ class PolicyTable:
 
     def action_at(self, state: LandmarkId) -> Action:
         return self.best_action[state]
-
-    def defined_everywhere(self, grid: GridSpec) -> bool:
-        return all(
-            lid in self.best_action for lid in grid.all_landmarks() if lid != self.goal
-        )
 
 
 def greedy_policy(qtable: QTable, grid: GridSpec) -> PolicyTable:
@@ -294,7 +286,7 @@ def rollout(
     rewards: RewardSpec,
     policy: PolicyTable,
     start: LandmarkId,
-    max_episode_steps: int = 200,
+    max_episode_steps: int = TrainConfig.max_episode_steps,
 ) -> EpisodeLog:
     """Follow the greedy policy from ``start``; truncates on cycles."""
     log = EpisodeLog(start=start, goal=policy.goal)
@@ -312,7 +304,7 @@ def evaluate(
     policy: PolicyTable,
     episodes: int,
     rng_seed: int,
-    max_episode_steps: int = 200,
+    max_episode_steps: int = TrainConfig.max_episode_steps,
 ) -> EvalSummary:
     """Greedy rollouts from uniformly random starts; deterministic given seed.
 

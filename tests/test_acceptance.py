@@ -14,7 +14,7 @@ import pytest
 from uasnav.cli import main
 from uasnav.grid import LandmarkId, landmark_position, manhattan, neighbors, random_start
 from uasnav.imagery import PerturbationSpec, Pose, render_observation
-from uasnav.matching import build_descriptor_set, estimate_affine_ransac, rank_neighbors
+from uasnav.matching import build_descriptor_set, estimate_affine_ransac, match_images, rank_neighbors
 from uasnav.navigator import MissionConfig, MissionOutcome, run_mission
 from uasnav.policy import (
     TrainConfig,
@@ -151,7 +151,9 @@ def test_criterion_5_landmark_recognition_robustness(world_and_reg, grid, match_
         candidates = [(lid, library.get(lid))] + [
             (nid, library.get(nid)) for nid in neighbors(grid, lid).values() if nid is not None
         ]
-        ranked = rank_neighbors(obs, candidates, match_params, reg.gsd)
+        ranked = rank_neighbors([
+            match_images(obs, dset, match_params, reg.gsd, target=nid) for nid, dset in candidates
+        ])
         if ranked[0].target == lid:
             correct += 1
     ok = correct >= 190  # 95% of 200

@@ -9,7 +9,7 @@ from uasnav.grid import GridSpec, LandmarkId, RewardSpec
 from uasnav.imagery import PerturbationSpec, WorldSpec, landmark_descriptor_image
 from uasnav.matching import MatchParams
 from uasnav.navigator import MissionConfig
-from uasnav.policy import TrainConfig
+from uasnav.policy import TrainConfig, save_policy
 from uasnav.raster import read_pnm, write_pnm
 
 
@@ -314,6 +314,29 @@ class TestCliBuildEnvAndFly:
         last = captured.out.strip().splitlines()[-1]
         assert last.startswith("status=error code=2")
         assert "rotation_jitter_rad" in last
+
+    def _fly_with_oracle_policy(self, built, tmp_path, policy, override):
+        save_policy(policy, tmp_path / "policy.txt")
+        return main([
+            "fly",
+            "--set", f"run.output_dir={built}",
+            "--policy", str(tmp_path / "policy.txt"),
+            "--set", override,
+        ])
+
+    def test_fly_rejects_zero_control_step(self, built, tmp_path, optimal_policy, capsys):
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.control_step_m=0")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "control step" in last
+
+    def test_fly_too_few_ticks_is_runtime_error(self, built, tmp_path, optimal_policy, capsys):
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.max_ticks=10")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 3
+        assert last.startswith("status=error code=3")
+        assert "max_ticks" in last
 
     def test_ingest_round_trip_is_byte_identical(self, built, tmp_path, capsys):
         out = tmp_path / "reexport"

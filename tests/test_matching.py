@@ -267,6 +267,10 @@ class TestCenterDistance:
             AffineTransform(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
 
 
+def _rank(obs, candidates, params, gsd):
+    return rank_neighbors([match_images(obs, dset, params, gsd, target=lid) for lid, dset in candidates])
+
+
 class TestRankNeighbors:
     def _candidates(self, world, reg, grid, params, lid):
         cands = [(lid, build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), params))]
@@ -280,7 +284,7 @@ class TestRankNeighbors:
         lid = LandmarkId(4, 6)
         pos = landmark_position(grid, lid)
         obs = build_descriptor_set(render_observation(world, reg, Pose(pos[0], pos[1])), match_params)
-        ranked = rank_neighbors(obs, self._candidates(world, reg, grid, match_params, lid), match_params, reg.gsd)
+        ranked = _rank(obs, self._candidates(world, reg, grid, match_params, lid), match_params, reg.gsd)
         assert ranked[0].target == lid
         assert ranked[0].center_distance_m <= reg.gsd  # within one pixel
 
@@ -288,7 +292,7 @@ class TestRankNeighbors:
         world, reg = world_and_reg
         lid = LandmarkId(7, 3)
         obs = build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), match_params)
-        ranked = rank_neighbors(obs, [(lid, library.get(lid))], match_params, reg.gsd)
+        ranked = _rank(obs, [(lid, library.get(lid))], match_params, reg.gsd)
         res = ranked[0]
         assert res.inliers / res.n_matches >= 0.9
         assert res.center_distance_m <= reg.gsd
@@ -299,7 +303,7 @@ class TestRankNeighbors:
         noise = RasterImage(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
         lid = LandmarkId(5, 5)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
-        ranked = rank_neighbors(build_descriptor_set(noise, match_params), cands, match_params, reg.gsd)
+        ranked = _rank(build_descriptor_set(noise, match_params), cands, match_params, reg.gsd)
         for res in ranked:
             assert not arrival_check(res, match_params.distance_threshold_m, match_params.min_inliers)
 
@@ -307,13 +311,12 @@ class TestRankNeighbors:
         world, reg = world_and_reg
         lid = LandmarkId(0, 9)
         obs = build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), match_params)
-        ranked = rank_neighbors(obs, [(lid, library.get(lid))], match_params, reg.gsd)
+        ranked = _rank(obs, [(lid, library.get(lid))], match_params, reg.gsd)
         assert len(ranked) == 1
 
-    def test_empty_candidates_rejected(self, match_params):
+    def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidStateError):
-            empty = DescriptorSet(np.zeros((0, 3)), np.zeros((0, 128)), (640, 480))
-            rank_neighbors(empty, [], match_params, 0.25)
+            rank_neighbors([])
 
     def test_deterministic(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
@@ -322,11 +325,32 @@ class TestRankNeighbors:
         perturb = PerturbationSpec(gain=1.2, noise_sigma=3.0, rng_seed=13)
         obs = build_descriptor_set(render_observation(world, reg, Pose(pos[0], pos[1]), perturb), match_params)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
-        r1 = rank_neighbors(obs, cands, match_params, reg.gsd)
-        r2 = rank_neighbors(obs, cands, match_params, reg.gsd)
+        r1 = _rank(obs, cands, match_params, reg.gsd)
+        r2 = _rank(obs, cands, match_params, reg.gsd)
         assert [(r.target, r.inliers, r.center_distance_m) for r in r1] == [
             (r.target, r.inliers, r.center_distance_m) for r in r2
         ]
+
+    def test_ordering_tie_breaks(self):
+        def result(col, inliers, cd):
+            return MatchResult(
+                target=LandmarkId(col, 0),
+                pairs=np.zeros((0, 2), dtype=int),
+                inliers=inliers,
+                affine=None if cd is None else AffineTransform.identity(),
+                center_distance_m=cd,
+            )
+
+        results = [
+            result(0, 0, None),  # no model: last, even listed first
+            result(1, 40, 2.0),
+            result(2, 80, 3.0),  # most inliers: first
+            result(3, 40, 1.0),  # inlier tie: smaller distance first
+            result(4, 40, 2.0),  # inlier and distance tie: input position
+            result(5, 0, 9.0),  # a model with no inliers still beats no model
+        ]
+        ranked = rank_neighbors(results)
+        assert [r.target.col for r in ranked] == [2, 3, 1, 4, 5, 0]
 
 
 class TestArrivalCheck:

@@ -1,15 +1,18 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from uasnav import matching
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
 from uasnav.grid import Action, LandmarkId, landmark_position, manhattan
 from uasnav.imagery import PerturbationSpec
-from uasnav.matching import MatchParams
+from uasnav.matching import AffineTransform, MatchParams, MatchResult
 from uasnav.navigator import (
     MissionConfig,
     MissionOutcome,
+    closest_approach,
     expected_landmark,
     export_trajectory,
     read_mission_poses,
@@ -45,6 +48,43 @@ class TestExpectedLandmark:
             expected_landmark(grid, LandmarkId(0, 0), Action.LEFT)
 
 
+class TestClosestApproach:
+    FLOOR = 2.0  # one sampling interval at the default kinematics
+    MIN_INLIERS = 30
+
+    def _result(self, inliers, cd, with_affine=True):
+        return MatchResult(
+            target=None,
+            pairs=np.zeros((0, 2), dtype=int),
+            inliers=inliers,
+            affine=AffineTransform.identity() if with_affine else None,
+            center_distance_m=cd if with_affine else None,
+        )
+
+    def _arrives(self, res, best_cd=math.inf):
+        return closest_approach(res, best_cd, self.FLOOR, self.MIN_INLIERS)
+
+    def test_solid_match_at_or_below_floor_arrives(self):
+        assert self._arrives(self._result(150, self.FLOOR))
+        assert self._arrives(self._result(150, 0.5))
+
+    def test_gate_passing_match_above_floor_only_records_distance(self):
+        res = self._result(150, 4.0)
+        assert matching.arrival_check(res, 5.0, self.MIN_INLIERS)
+        assert not self._arrives(res)
+        assert not self._arrives(self._result(150, 3.0), best_cd=4.0)  # still closing in
+
+    def test_distance_that_stopped_shrinking_arrives(self):
+        assert self._arrives(self._result(150, 4.0), best_cd=4.0)
+        # beyond the 5 m gate threshold: the closest approach was the last check
+        assert self._arrives(self._result(150, 7.5), best_cd=4.0)
+
+    def test_weak_match_never_arrives(self):
+        assert not self._arrives(self._result(150, 0.0, with_affine=False), best_cd=1.0)
+        assert not self._arrives(self._result(self.MIN_INLIERS - 1, 0.0), best_cd=1.0)
+        assert not self._arrives(self._result(self.MIN_INLIERS - 1, 9.0), best_cd=1.0)
+
+
 class TestMissionConfig:
     def test_start_equals_goal_rejected(self, optimal_policy, goal):
         with pytest.raises(InvalidStateError):
@@ -68,6 +108,24 @@ class TestMission:
         sampling = cfg.observation_period * cfg.control_step_m
         assert abs(log.distance_flown_m - grid.spacing_y) <= 2 * sampling
 
+    def test_arrival_reuses_target_match(self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch):
+        # one descriptor match per attempt, plus one per neighbor of the
+        # departure cell other than the target at the arrival
+        world, reg = world_and_reg
+        calls = []
+        original = matching.match_descriptors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "match_descriptors", counting)
+        cfg = MissionConfig(start=LandmarkId(5, 4), goal=goal, policy=optimal_policy)
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        assert len(log.arrivals) == 1
+        assert len(calls) == sum(r.attempted for r in log.records) + 3
+
     def test_arrival_count_equals_manhattan(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
         start = LandmarkId(2, 3)
@@ -76,7 +134,7 @@ class TestMission:
         assert log.outcome == MissionOutcome.REACHED_GOAL
         assert len(log.arrivals) == manhattan(start, goal)
         assert all(ev.confirmed for ev in log.arrivals)
-        assert log.arrivals[-1].landmark == goal
+        assert log.arrivals[-1].arrival == goal
 
     def test_distance_flown_bound(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
@@ -97,7 +155,7 @@ class TestMission:
         bound = cfg.match_params.distance_threshold_m + cfg.control_step_m
         for ev in log.arrivals:
             rec = by_tick[ev.tick]
-            pos = landmark_position(grid, ev.landmark)
+            pos = landmark_position(grid, ev.arrival)
             assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
 
     def test_mission_is_deterministic(self, world_and_reg, grid, optimal_policy, goal, library, tmp_path):
