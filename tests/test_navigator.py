@@ -151,11 +151,9 @@ class TestMission:
         cfg = MissionConfig(start=LandmarkId(4, 3), goal=goal, policy=optimal_policy)
         log = run_mission(world, reg, grid, cfg, library=library)
         assert log.outcome == MissionOutcome.REACHED_GOAL
-        by_tick = {r.tick: r for r in log.records}
         bound = cfg.match_params.distance_threshold_m + cfg.control_step_m
-        for ev in log.arrivals:
-            rec = by_tick[ev.tick]
-            pos = landmark_position(grid, ev.arrival)
+        for rec in log.arrivals:
+            pos = landmark_position(grid, rec.arrival)
             assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
 
     def test_mission_is_deterministic(self, world_and_reg, grid, optimal_policy, goal, library, tmp_path):
