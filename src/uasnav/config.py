@@ -198,11 +198,14 @@ class RunConfig:
 
 def _convert(section: str, key: str, raw: str, typ: type) -> object:
     try:
-        return typ(raw)  # int, float or str
+        value = typ(raw)  # int, float or str
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {typ.__name__}, got {raw!r}"
         ) from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite float, got {raw!r}")
+    return value
 
 
 def parse_overrides(pairs: list[str]) -> dict[tuple[str, str], str]:

@@ -240,39 +240,62 @@ def _obs_grid() -> tuple[np.ndarray, np.ndarray]:
     return _OBS_GRID
 
 
-def _bilinear_sample(pixels: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Bilinear lookup; callers must have bounds-checked the coordinates.
+def _bilinear_planes(pixels: np.ndarray, px: np.ndarray, py: np.ndarray) -> list[np.ndarray]:
+    """Bilinear lookup, one float32 plane per channel; callers must have
+    bounds-checked the coordinates.
 
-    Sampling runs in float32 over flattened gathers (the rendering hot
-    path); exact-integer coordinates still reproduce source bytes exactly
-    because their interpolation weights are exactly 0/1.
+    Each channel of the footprint's bounding window is copied into a
+    contiguous float32 plane with a zero tail, and the four corners are
+    read at flat offsets 0, 1, ``ww`` and ``ww + 1`` from one window-local
+    index. A read past the window's last column or row (the next row's
+    first pixel, or the tail) happens only for a sample on the raster's
+    last column or row, whose weight there is exactly 0, so it adds +0 as
+    a read clamped to the edge would. Exact-integer coordinates reproduce
+    source bytes (their weights are exactly 0/1).
     """
     h, w = pixels.shape[:2]
+    xa, ya = int(px.min()), int(py.min())
+    window = pixels[ya:min(int(py.max()) + 2, h), xa:min(int(px.max()) + 2, w)]
+    wh, ww = window.shape[:2]
     x0f = np.floor(px)
     y0f = np.floor(py)
     fx = (px - x0f).astype(np.float32)
     fy = (py - y0f).astype(np.float32)
-    x0 = x0f.astype(np.int64)
-    y0 = y0f.astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    flat = pixels.reshape(h * w, -1)
-    i00 = y0 * w + x0
-    i01 = y0 * w + x1
-    i10 = y1 * w + x0
-    i11 = y1 * w + x1
-    p00 = flat[i00].astype(np.float32)
-    p01 = flat[i01].astype(np.float32)
-    p10 = flat[i10].astype(np.float32)
-    p11 = flat[i11].astype(np.float32)
-    fx = fx[..., None]
-    fy = fy[..., None]
-    top = p00 * (1.0 - fx) + p01 * fx
-    bot = p10 * (1.0 - fx) + p11 * fx
-    out = top * (1.0 - fy) + bot * fy
-    if pixels.ndim == 2:
-        return out[..., 0]
-    return out
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    i00 = (y0f.astype(np.intp) - ya) * ww + (x0f.astype(np.intp) - xa)
+    flat = np.zeros(wh * ww + ww + 1, dtype=np.float32)
+    planes = []
+    for ch in _channels(window):
+        flat[:wh * ww].reshape(wh, ww)[...] = ch
+        # top = p00 * gx + p01 * fx, bot likewise, out = top * gy + bot * fy,
+        # evaluated in place
+        top = np.take(flat, i00)
+        top *= gx
+        top += np.take(flat[1:], i00) * fx
+        bot = np.take(flat[ww:], i00)
+        bot *= gx
+        bot += np.take(flat[ww + 1:], i00) * fx
+        top *= gy
+        bot *= fy
+        top += bot
+        planes.append(top)
+    return planes
+
+
+def _channels(pixels: np.ndarray) -> list[np.ndarray]:
+    """(h, w) views of each channel of an (h, w) or (h, w, 3) array."""
+    return [pixels] if pixels.ndim == 2 else list(np.moveaxis(pixels, 2, 0))
+
+
+def _pixel_offset(theta: float, px: np.ndarray, py: np.ndarray) -> tuple[int, int] | None:
+    """Whole-pixel origin ``(x, y)`` when the samples are exactly the pixel
+    grid shifted by it (an unrotated view on whole pixels), else None."""
+    x, y = px[0, 0], py[0, 0]
+    if theta != 0.0 or x != math.floor(x) or y != math.floor(y):
+        return None
+    on_grid = (px == x + np.arange(OBS_WIDTH)).all() and (py == y + np.arange(OBS_HEIGHT)[:, None]).all()
+    return (int(x), int(y)) if on_grid else None
 
 
 def render_observation(
@@ -290,6 +313,12 @@ def render_observation(
     [0, 255]). Zero padding is never used: any sample outside the world
     raises CoverageError. Deterministic given the perturbation seed; pass
     ``rng`` to draw several renders from one stream.
+
+    When the samples land exactly on whole pixels (an unrotated view at a
+    whole-pixel offset) the gather is a slice of the world, and with gain
+    1, bias 0 and no noise the frame is a copy of that slice. Every path
+    returns the bytes of the bilinear blend followed by the float64
+    intensity map.
     """
     if rng is None:
         rng = np.random.default_rng(perturb.rng_seed)
@@ -311,21 +340,37 @@ def render_observation(
     px = (wx - reg.origin[0]) / reg.gsd
     py = (reg.origin[1] - wy) / reg.gsd
 
-    if (
-        px.min() < 0.0
-        or py.min() < 0.0
-        or px.max() > world.width - 1
-        or py.max() > world.height - 1
+    if not (
+        px.min() >= 0.0
+        and py.min() >= 0.0
+        and px.max() <= world.width - 1
+        and py.max() <= world.height - 1
     ):
         raise CoverageError(
             f"observation footprint at ({cx:.1f}, {cy:.1f}) m, heading {theta:.3f} rad "
             f"exceeds the world raster"
         )
 
-    values = _bilinear_sample(world.pixels, px, py).astype(np.float64)
-    values = perturb.gain * values + perturb.bias
-    if perturb.noise_sigma > 0.0:
-        # one Gaussian draw per pixel, shared across channels
-        noise = rng.normal(0.0, perturb.noise_sigma, values.shape[:2])
-        values = values + (noise[..., None] if values.ndim == 3 else noise)
-    return RasterImage(pixels=np.rint(np.clip(values, 0.0, 255.0)).astype(np.uint8))
+    # one Gaussian draw per pixel, shared across channels
+    noise = rng.normal(0.0, perturb.noise_sigma, px.shape) if perturb.noise_sigma > 0.0 else None
+    offset = _pixel_offset(theta, px, py)
+    if offset is None:
+        planes = _bilinear_planes(world.pixels, px, py)
+    else:
+        x0, y0 = offset
+        window = world.pixels[y0:y0 + OBS_HEIGHT, x0:x0 + OBS_WIDTH]
+        if perturb.gain == 1.0 and perturb.bias == 0.0 and noise is None:
+            return RasterImage(pixels=window.copy())
+        planes = _channels(window)
+
+    out = np.empty((OBS_HEIGHT, OBS_WIDTH) + world.pixels.shape[2:], dtype=np.uint8)
+    for plane, dst in zip(planes, _channels(out)):
+        # gain * v + bias (+ noise), clamped and rounded, evaluated in place
+        values = plane.astype(np.float64)
+        values *= perturb.gain
+        values += perturb.bias
+        if noise is not None:
+            values += noise
+        np.clip(values, 0.0, 255.0, out=values)
+        dst[...] = np.rint(values, out=values)
+    return RasterImage(pixels=out)

@@ -331,6 +331,21 @@ class TestCliBuildEnvAndFly:
         assert last.startswith("status=error code=2")
         assert "control step" in last
 
+    @pytest.mark.parametrize("override", [
+        "mission.control_step_m=nan",
+        "mission.translation_jitter_m=inf",
+        "mission.gain=nan",
+        "mission.noise_sigma=nan",
+        "matching.arrival_distance_m=nan",
+        "matching.inlier_tol_px=nan",
+    ])
+    def test_fly_rejects_non_finite_float(self, built, tmp_path, optimal_policy, capsys, override):
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, override)
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert override.split("=")[0].split(".")[1] in last
+
     def test_fly_too_few_ticks_is_runtime_error(self, built, tmp_path, optimal_policy, capsys):
         code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.max_ticks=10")
         last = capsys.readouterr().out.strip().splitlines()[-1]

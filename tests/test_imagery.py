@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uasnav.errors import CoverageError
 from uasnav.grid import GridSpec, LandmarkId, landmark_position
@@ -95,6 +96,137 @@ class TestDescriptorImage:
             assert len(kps) >= 200, f"landmark ({lid.col},{lid.row}) has only {len(kps)} keypoints"
 
 
+def _reference_bilinear(pixels: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The interleaved float32 bilinear gather that render_observation
+    used before its planar rewrite; the byte-exact reference."""
+    h, w = pixels.shape[:2]
+    x0f = np.floor(px)
+    y0f = np.floor(py)
+    fx = (px - x0f).astype(np.float32)
+    fy = (py - y0f).astype(np.float32)
+    x0 = x0f.astype(np.int64)
+    y0 = y0f.astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    flat = pixels.reshape(h * w, -1)
+    i00 = y0 * w + x0
+    i01 = y0 * w + x1
+    i10 = y1 * w + x0
+    i11 = y1 * w + x1
+    p00 = flat[i00].astype(np.float32)
+    p01 = flat[i01].astype(np.float32)
+    p10 = flat[i10].astype(np.float32)
+    p11 = flat[i11].astype(np.float32)
+    fx = fx[..., None]
+    fy = fy[..., None]
+    top = p00 * (1.0 - fx) + p01 * fx
+    bot = p10 * (1.0 - fx) + p11 * fx
+    out = top * (1.0 - fy) + bot * fy
+    if pixels.ndim == 2:
+        return out[..., 0]
+    return out
+
+
+def _reference_render(world, reg, pose, perturb):
+    """render_observation as it was before the planar rewrite: the same
+    draws and coordinates, the interleaved gather, then the intensity map
+    over all channels at once."""
+    rng = np.random.default_rng(perturb.rng_seed)
+    theta = pose.heading
+    if perturb.rotation_jitter > 0.0:
+        theta += rng.uniform(-perturb.rotation_jitter, perturb.rotation_jitter)
+    cx, cy = pose.x, pose.y
+    if perturb.translation_jitter > 0.0:
+        radius = rng.uniform(0.0, perturb.translation_jitter)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        cx += radius * math.cos(phi)
+        cy += radius * math.sin(phi)
+    du, dv = np.meshgrid(
+        np.arange(OBS_WIDTH, dtype=np.float64) - OBS_WIDTH / 2.0,
+        np.arange(OBS_HEIGHT, dtype=np.float64) - OBS_HEIGHT / 2.0,
+    )
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    wx = cx + reg.gsd * (du * cos_t - dv * sin_t)
+    wy = cy - reg.gsd * (du * sin_t + dv * cos_t)
+    px = (wx - reg.origin[0]) / reg.gsd
+    py = (reg.origin[1] - wy) / reg.gsd
+    values = _reference_bilinear(world.pixels, px, py).astype(np.float64)
+    values = perturb.gain * values + perturb.bias
+    if perturb.noise_sigma > 0.0:
+        noise = rng.normal(0.0, perturb.noise_sigma, values.shape[:2])
+        values = values + (noise[..., None] if values.ndim == 3 else noise)
+    return np.rint(np.clip(values, 0.0, 255.0)).astype(np.uint8)
+
+
+@pytest.fixture(scope="module")
+def gray_world(world_and_reg):
+    world, _ = world_and_reg
+    return RasterImage(np.ascontiguousarray(world.pixels[:, :, 1]))
+
+
+def _assert_matches_reference(world, reg, pose, perturb):
+    obs = render_observation(world, reg, pose, perturb)
+    ref = _reference_render(world, reg, pose, perturb)
+    assert obs.pixels.dtype == ref.dtype and obs.pixels.shape == ref.shape
+    assert np.array_equal(obs.pixels, ref)
+    assert not np.shares_memory(obs.pixels, world.pixels)
+
+
+class TestRenderMatchesReference:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        cell=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        whole_pixel=st.booleans(),
+        offset=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        heading=st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        rotation_jitter=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        translation_jitter=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        gain=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+        bias=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+        noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        seed=st.integers(0, 2**32 - 1),
+        gray=st.booleans(),
+    )
+    def test_render_is_byte_identical_to_reference(
+        self, world_and_reg, gray_world, grid, cell, whole_pixel, offset, heading,
+        rotation_jitter, translation_jitter, gain, bias, noise_sigma, seed, gray,
+    ):
+        world, reg = world_and_reg
+        x, y = landmark_position(grid, LandmarkId(*cell))
+        dx, dy = offset
+        if whole_pixel:
+            dx, dy = reg.gsd * round(dx / reg.gsd), reg.gsd * round(dy / reg.gsd)
+        perturb = PerturbationSpec(
+            gain=gain, bias=bias, noise_sigma=noise_sigma, rotation_jitter=rotation_jitter,
+            translation_jitter=translation_jitter, rng_seed=seed,
+        )
+        _assert_matches_reference(gray_world if gray else world, reg, Pose(x + dx, y + dy, heading), perturb)
+
+    def test_whole_pixel_render_with_intensity_map(self, world_and_reg, gray_world, grid):
+        # unrotated and on whole pixels: the slice path, under a non-identity map
+        world, reg = world_and_reg
+        x, y = landmark_position(grid, LandmarkId(4, 6))
+        for w in (world, gray_world):
+            for perturb in (
+                PerturbationSpec(),
+                PerturbationSpec(gain=1.3),
+                PerturbationSpec(bias=-7.0),
+                PerturbationSpec(gain=0.8, bias=12.0, noise_sigma=3.0, rng_seed=5),
+            ):
+                _assert_matches_reference(w, reg, Pose(x + 1.25, y - 0.5), perturb)
+
+    def test_samples_on_last_column_and_row(self):
+        # fractional in one axis, flush with the raster's far edge in the other
+        rng = np.random.default_rng(3)
+        pixels = rng.integers(0, 256, (OBS_HEIGHT + 9, OBS_WIDTH + 13, 3), dtype=np.uint8)
+        reg = GeoRegistration(gsd=0.25, origin=(0.0, pixels.shape[0] * 0.25))
+        last_x = reg.origin[0] + (pixels.shape[1] - 1 - OBS_WIDTH / 2 + 1) * reg.gsd
+        last_y = reg.origin[1] - (pixels.shape[0] - 1 - OBS_HEIGHT / 2 + 1) * reg.gsd
+        for world in (RasterImage(pixels), RasterImage(np.ascontiguousarray(pixels[:, :, 0]))):
+            for pose in (Pose(last_x, last_y + 0.1), Pose(last_x - 0.1, last_y), Pose(last_x, last_y)):
+                _assert_matches_reference(world, reg, pose, PerturbationSpec(gain=1.1, bias=2.0))
+
+
 class TestRenderObservation:
     def test_identity_render_matches_descriptor_crop(self, world_and_reg, grid):
         world, reg = world_and_reg
@@ -146,6 +278,13 @@ class TestRenderObservation:
         west_edge_x = reg.origin[0] + 10 * reg.gsd
         with pytest.raises(CoverageError):
             render_observation(world, reg, Pose(west_edge_x, 100.0))
+
+    def test_nan_pose_is_coverage_error(self, world_and_reg, grid):
+        world, reg = world_and_reg
+        x, y = landmark_position(grid, LandmarkId(5, 5))
+        for pose in (Pose(math.nan, y), Pose(x, math.nan)):
+            with pytest.raises(CoverageError):
+                render_observation(world, reg, pose)
 
     def test_heading_validation(self):
         with pytest.raises(ValueError):
