@@ -60,10 +60,14 @@ class PerturbationSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
-        if self.noise_sigma < 0 or self.rotation_jitter < 0 or self.translation_jitter < 0:
-            raise ValueError("jitter magnitudes must be non-negative")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.gain) and self.gain > 0):
+            raise ValueError("gain must be positive and finite")
+        if not math.isfinite(self.bias):
+            raise ValueError("bias must be finite")
+        magnitudes = (self.noise_sigma, self.rotation_jitter, self.translation_jitter)
+        if not all(math.isfinite(v) and v >= 0 for v in magnitudes):
+            raise ValueError("jitter magnitudes must be non-negative and finite")
 
 
 @dataclass(frozen=True)

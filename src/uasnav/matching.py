@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter
+from scipy.ndimage import gaussian_filter
 
 from .errors import (
     BoundsError,
@@ -48,6 +48,14 @@ _PATCH_PAD = _PATCH // 2 + 1
 _MIN_IMAGE_SIDE = 32
 NMS_RADIUS = 8       # px between kept corners
 _REL_THRESHOLD = 1e-4  # corner response floor relative to the image's peak
+# raster offsets (dy, dx) from a pixel back to the earlier pixels closer than NMS_RADIUS
+_EARLIER_OFFSETS = np.array([
+    (dy, dx)
+    for dy in range(NMS_RADIUS)
+    for dx in range(1 - NMS_RADIUS, NMS_RADIUS)
+    if (dy > 0 or dx > 0) and dy * dy + dx * dx < NMS_RADIUS ** 2
+])
+_RANSAC_BLOCK = 16   # hypotheses scored before the rest are drawn
 
 
 @dataclass
@@ -118,8 +126,13 @@ class MatchParams:
             raise ValueError("ratio must be in (0, 1]")
         if self.max_keypoints < 1 or self.ransac_iterations < 1:
             raise ValueError("max_keypoints and ransac_iterations must be positive")
-        if self.inlier_tol_px <= 0 or self.distance_threshold_m < 0 or self.min_inliers < 0:
-            raise ValueError("bad threshold value")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.inlier_tol_px) and self.inlier_tol_px > 0):
+            raise ValueError("inlier_tol_px must be positive and finite")
+        if not (math.isfinite(self.distance_threshold_m) and self.distance_threshold_m >= 0):
+            raise ValueError("distance_threshold_m must be non-negative and finite")
+        if self.min_inliers < 0:
+            raise ValueError("min_inliers must be non-negative")
 
 
 @dataclass
@@ -138,10 +151,12 @@ def detect_keypoints(gray: np.ndarray, max_keypoints: int) -> np.ndarray:
     """Harris corners of a 2-D gray plane as ``(n, 3)`` rows of
     ``x, y, response``, strongest first, with non-maximum suppression.
 
-    Candidates are local maxima of the corner response above a threshold
-    relative to the global peak; a greedy pass then enforces the NMS radius
-    in response order (ties broken by row, then column, so the output is
-    deterministic). Kept peaks get a clamped parabolic sub-pixel refine.
+    Candidates are maxima of their ``(2 NMS_RADIUS + 1)``-pixel square window
+    with a response above a threshold relative to the global peak. In
+    response order (ties broken by row, then column, so the output is
+    deterministic) a candidate closer than ``NMS_RADIUS`` to an earlier kept
+    one is dropped (see ``_nms_keep``). Kept peaks get a clamped parabolic
+    sub-pixel refine.
     """
     if max_keypoints < 1:
         raise ValueError("max_keypoints must be positive")
@@ -161,40 +176,76 @@ def detect_keypoints(gray: np.ndarray, max_keypoints: int) -> np.ndarray:
     if peak <= 1e-12:
         return np.zeros((0, 3))  # flat image: no gradient, no corners
     threshold = max(_REL_THRESHOLD * peak, 1e-12)
-    local_max = response == maximum_filter(response, size=2 * NMS_RADIUS + 1, mode="nearest")
-    # keep the border clear so descriptor patches always fit (and every
-    # kept peak has the four neighbours the sub-pixel refine reads)
-    local_max[:_PATCH_PAD, :] = False
-    local_max[-_PATCH_PAD:, :] = False
-    local_max[:, :_PATCH_PAD] = False
-    local_max[:, -_PATCH_PAD:] = False
-    ys, xs = np.nonzero(local_max & (response > threshold))
-    if len(xs) == 0:
-        return np.zeros((0, 3))
+    # Peaks stay _PATCH_PAD clear of the border so descriptor patches always
+    # fit (and every peak has the four neighbours the sub-pixel refine
+    # reads). Their windows therefore lie inside the plane, and the window
+    # maxima are taken over the interior without any edge padding.
+    r, pad = NMS_RADIUS, _PATCH_PAD
+    window_max = _window_max(_window_max(response[pad - r:h - pad + r, pad - r:w - pad + r]).T).T
+    inner = response[pad:h - pad, pad:w - pad]
+    ys, xs = np.nonzero((inner == window_max) & (inner > threshold))
+    ys += pad
+    xs += pad
     order = np.lexsort((xs, ys, -response[ys, xs]))
     ys, xs = ys[order], xs[order]
-
-    kept = np.empty(max_keypoints, dtype=np.intp)
-    kept_x = np.empty(max_keypoints)
-    kept_y = np.empty(max_keypoints)
-    m = 0
-    r2 = float(NMS_RADIUS) ** 2
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        if m:
-            dx = kept_x[:m] - x
-            dy = kept_y[:m] - y
-            if (dx * dx + dy * dy).min() < r2:
-                continue
-        kept[m], kept_x[m], kept_y[m] = i, x, y
-        m += 1
-        if m >= max_keypoints:
-            break
-    ys, xs = ys[kept[:m]], xs[kept[:m]]
+    kept = np.flatnonzero(_nms_keep(xs, ys, response))[:max_keypoints]
+    ys, xs = ys[kept], xs[kept]
 
     center = response[ys, xs]
     sx = _vertex_offsets(response[ys, xs - 1], center, response[ys, xs + 1])
     sy = _vertex_offsets(response[ys - 1, xs], center, response[ys + 1, xs])
     return np.stack([xs + sx, ys + sy, center], axis=1, dtype=np.float64)
+
+
+def _window_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over every ``2 NMS_RADIUS + 1`` consecutive rows of ``a``
+    (whole windows only). Windows double in width pass by pass (1, 2, 4, 8,
+    16 rows), and the last pass joins two overlapping ones (van Herk 1992).
+    A maximum rounds nothing, so this is exact."""
+    size = 2 * NMS_RADIUS + 1
+    width = 1
+    while 2 * width <= size:
+        a = np.maximum(a[:-width], a[width:])
+        width *= 2
+    return np.maximum(a[:len(a) - size + width], a[size - width:])
+
+
+def _nms_keep(xs: np.ndarray, ys: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Keep flags of the greedy pass that visits the candidates at ``xs,
+    ys`` in response order (then raster order) and drops each one closer
+    than ``NMS_RADIUS`` to a candidate it kept before.
+
+    Candidates are maxima of their ``2 NMS_RADIUS + 1`` window, so two of
+    them closer than ``NMS_RADIUS`` lie in each other's window and have
+    equal response; the earlier of the two in the visiting order is then the
+    earlier in raster order. Only candidates in runs of equal response can
+    be dropped, each by raster-earlier neighbours alone. Those neighbours are
+    read off a label plane at ``_EARLIER_OFFSETS``, and the flags settle in
+    rounds: a candidate is dropped once one of its neighbours is kept, and
+    kept once all of them are dropped. Each round settles at least the
+    first unsettled candidate; without ties no round runs.
+    """
+    values = response[ys, xs]
+    same = values[1:] == values[:-1]
+    tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+    ty, tx = ys[tied], xs[tied]
+    label = np.full(response.shape, -1, dtype=np.int32)
+    label[ty, tx] = np.arange(len(tied))
+    # peaks lie _PATCH_PAD > NMS_RADIUS from the border: no lookup leaves the plane
+    neighbours = label[ty[:, None] - _EARLIER_OFFSETS[:, 0], tx[:, None] - _EARLIER_OFFSETS[:, 1]]
+
+    # state: 1 kept, 0 dropped, -1 unsettled; label -1 (no neighbour) reads
+    # the trailing 0
+    state = np.full(len(tied) + 1, -1, dtype=np.int8)
+    state[-1] = 0
+    while (state[:-1] < 0).any():
+        seen = state[neighbours]
+        unsettled = state[:-1] < 0
+        state[:-1][unsettled & (seen == 1).any(axis=1)] = 0
+        state[:-1][unsettled & (seen == 0).all(axis=1)] = 1
+    keep = np.ones(len(xs), dtype=bool)
+    keep[tied] = state[:-1] == 1
+    return keep
 
 
 def _vertex_offsets(left: np.ndarray, center: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -227,7 +278,6 @@ def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.nd
     gy, gx = np.gradient(smoothed)
 
     offsets = np.arange(_PATCH, dtype=np.float64) - (_PATCH - 1) / 2.0  # cell centers
-    oy, ox = np.meshgrid(offsets, offsets, indexing="ij")
 
     xy = keypoints[:, :2]
     in_bounds = (
@@ -239,10 +289,24 @@ def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.nd
     dropped = int((~in_bounds).sum())
 
     sel = np.nonzero(in_bounds)[0]
-    px = xy[sel, 0][:, None, None] + ox[None]
-    py = xy[sel, 1][:, None, None] + oy[None]
-    patch_gx = _bilinear(gx, px, py)
-    patch_gy = _bilinear(gy, px, py)
+    # Patch row i, column j samples (x + offsets[j], y + offsets[i]); the
+    # pad keeps every sample and its +1 neighbours inside the plane. Floor,
+    # fraction and flat corner index are shared by both gradient planes.
+    px = xy[sel, 0][:, None] + offsets
+    py = xy[sel, 1][:, None] + offsets
+    x0, y0 = np.floor(px), np.floor(py)
+    fx = (px - x0).astype(np.float32)[:, None, :]
+    fy = (py - y0).astype(np.float32)[:, :, None]
+    corner = (y0.astype(np.intp) * w)[:, :, None] + x0.astype(np.intp)[:, None, :]
+
+    def sample(plane):
+        flat = plane.ravel()
+        top = flat[corner] * (1 - fx) + flat[corner + 1] * fx
+        bot = flat[corner + w] * (1 - fx) + flat[corner + (w + 1)] * fx
+        return top * (1 - fy) + bot * fy
+
+    patch_gx = sample(gx)
+    patch_gy = sample(gy)
 
     # 2x2 average pooling down to 8x8 cells, then interleave (gx, gy)
     def pool(p):
@@ -259,18 +323,6 @@ def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.nd
     if dropped:
         logger.debug("describe: dropped %d/%d keypoints (patch out of bounds or flat)", dropped, len(keypoints))
     return vec, keypoints[sel[has_energy]]
-
-
-def _bilinear(plane: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    x0 = np.floor(px).astype(np.int64)
-    y0 = np.floor(py).astype(np.int64)
-    fx = (px - x0).astype(plane.dtype)
-    fy = (py - y0).astype(plane.dtype)
-    x1 = np.minimum(x0 + 1, plane.shape[1] - 1)
-    y1 = np.minimum(y0 + 1, plane.shape[0] - 1)
-    top = plane[y0, x0] * (1 - fx) + plane[y0, x1] * fx
-    bot = plane[y1, x0] * (1 - fx) + plane[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
 
 
 def build_descriptor_set(img: RasterImage, params: MatchParams) -> DescriptorSet:
@@ -324,9 +376,11 @@ def estimate_affine_ransac(
     """RANSAC affine fit mapping ``(n, 2)`` points ``src`` onto ``dst``,
     over minimal 3-point solves.
 
-    All candidate models are solved in one batch; the winner is the model
-    with the most inliers (the earliest iteration wins ties, matching the
-    seed order), then refit by least squares on its full inlier set. The
+    Hypotheses are drawn and scored in seed order, in two blocks: the
+    first ``_RANSAC_BLOCK``, then the rest. No hypothesis can have more
+    than ``n`` inliers, so once one has all ``n`` the rest are never drawn.
+    The winner is the model with the most inliers (the earliest iteration
+    wins ties), then refit by least squares on its full inlier set. The
     returned mask is re-evaluated under the refit model.
     """
     src = np.asarray(src, dtype=np.float64)
@@ -336,30 +390,44 @@ def estimate_affine_ransac(
         raise InsufficientMatchesError(f"affine estimation needs >= 3 correspondences, got {n}")
 
     rng = np.random.default_rng(rng_seed)
-    samples = np.stack([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
-
-    ones = np.ones((n, 1))
-    src_h = np.hstack([src, ones])            # (n, 3)
-    mats = src_h[samples]                     # (iters, 3, 3)
-    rhs = dst[samples]                        # (iters, 3, 2)
-    dets = np.linalg.det(mats)
-    valid = np.abs(dets) > 1e-6               # collinear samples are degenerate
-    if not valid.any():
+    src_h = np.hstack([src, np.ones((n, 1))])  # (n, 3)
+    counts, params = [], []
+    first = min(_RANSAC_BLOCK, iterations)
+    for size in (first, iterations - first):
+        draws = [rng.choice(n, size=3, replace=False) for _ in range(size)]
+        samples = np.array(draws, dtype=np.intp).reshape(size, 3)
+        mats = src_h[samples]                                  # (size, 3, 3)
+        valid = np.abs(np.linalg.det(mats)) > 1e-6            # collinear samples are degenerate
+        block = np.zeros((size, 3, 2))
+        block[valid] = np.linalg.solve(mats[valid], dst[samples[valid]])
+        block_counts = np.full(size, -1, dtype=np.int64)
+        block_counts[valid] = np.count_nonzero(_residuals(src, dst, block[valid]) <= inlier_tol_px, axis=1)
+        counts.append(block_counts)
+        params.append(block)
+        if n in block_counts:
+            break
+    counts = np.concatenate(counts)
+    if counts.max() < 0:
         raise DegenerateGeometryError("every sampled correspondence triple was collinear")
-
-    params = np.linalg.solve(mats[valid], rhs[valid])      # (v, 3, 2)
-    pred = np.einsum("nk,vkj->vnj", src_h, params)          # (v, n, 2)
-    err = np.linalg.norm(pred - dst[None], axis=2)
-    counts = np.full(iterations, -1, dtype=np.int64)
-    counts[valid] = (err <= inlier_tol_px).sum(axis=1)
     best_iter = int(np.argmax(counts))                       # first max = earliest iteration
-    best_params = params[int(valid[:best_iter + 1].sum()) - 1]
+    best_params = np.concatenate(params)[best_iter]
     best_mask = np.linalg.norm(src_h @ best_params - dst, axis=1) <= inlier_tol_px
 
     refit, _, _, _ = np.linalg.lstsq(src_h[best_mask], dst[best_mask], rcond=None)
     model = AffineTransform(refit.T)
     final_mask = np.linalg.norm(src_h @ refit - dst, axis=1) <= inlier_tol_px
     return model, final_mask
+
+
+def _residuals(src: np.ndarray, dst: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """``(v, n)`` distances from each ``(3, 2)`` affine of ``params`` applied
+    to ``src`` to ``dst``. Each coordinate is summed term by term, ``x a + y
+    b + c`` then ``- dst``, the order of a per-point product with ``(x, y,
+    1)``; a matmul sums in another order and differs in the last bits."""
+    x, y = src[:, 0], src[:, 1]
+    dx = x * params[:, 0, 0, None] + y * params[:, 1, 0, None] + params[:, 2, 0, None] - dst[:, 0]
+    dy = x * params[:, 0, 1, None] + y * params[:, 1, 1, None] + params[:, 2, 1, None] - dst[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def center_distance(

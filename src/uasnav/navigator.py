@@ -60,8 +60,8 @@ class MissionConfig:
     def __post_init__(self):
         if self.start == self.goal:
             raise InvalidStateError("mission start equals goal")
-        if self.control_step_m <= 0:
-            raise ValueError("control step must be positive")
+        if not (math.isfinite(self.control_step_m) and self.control_step_m > 0):
+            raise ValueError("control step must be positive and finite")
         if self.observation_period < 1:
             raise ValueError("observation period must be >= 1 tick")
 

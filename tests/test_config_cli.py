@@ -262,6 +262,18 @@ def built(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained(built):
+    """The ``built`` directory with a policy trained into it."""
+    code = main([
+        "train",
+        "--set", f"run.output_dir={built}",
+        "--set", "train.episodes=600",
+    ])
+    assert code == 0
+    return built
+
+
 class TestCliBuildEnvAndFly:
     def test_build_env_outputs(self, built):
         assert (built / "world.ppm").exists()
@@ -271,17 +283,10 @@ class TestCliBuildEnvAndFly:
         img = read_pnm(built / "landmarks" / "lm_0_0.ppm")
         assert (img.width, img.height) == (640, 480)
 
-    def test_fly_short_mission(self, built, capsys):
-        code = main([
-            "train",
-            "--set", f"run.output_dir={built}",
-            "--set", "train.episodes=600",
-        ])
-        assert code == 0
-        capsys.readouterr()
+    def test_fly_short_mission(self, trained, capsys):
         code = main([
             "fly",
-            "--set", f"run.output_dir={built}",
+            "--set", f"run.output_dir={trained}",
             "--set", "mission.start_col=5",
             "--set", "mission.start_row=4",
         ])
@@ -290,13 +295,13 @@ class TestCliBuildEnvAndFly:
         last = captured.out.strip().splitlines()[-1]
         assert "outcome=reached_goal" in last
         assert "arrivals=1" in last
-        assert (built / "mission.csv").exists()
-        assert (built / "mission.svg").exists()
+        assert (trained / "mission.csv").exists()
+        assert (trained / "mission.svg").exists()
 
-    def test_fly_rejects_mismatched_goal(self, built, capsys):
+    def test_fly_rejects_mismatched_goal(self, trained, capsys):
         code = main([
             "fly",
-            "--set", f"run.output_dir={built}",
+            "--set", f"run.output_dir={trained}",
             "--set", "grid.goal_col=3",
         ])
         captured = capsys.readouterr()

@@ -296,6 +296,12 @@ class TestRenderObservation:
         with pytest.raises(ValueError):
             PerturbationSpec(noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("field", ["gain", "bias", "noise_sigma", "rotation_jitter", "translation_jitter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_perturbation_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            PerturbationSpec(**{field: value})
+
 
 def test_half_window_values():
     assert half_window_m(0.25) == (80.0, 60.0)

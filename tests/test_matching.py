@@ -383,6 +383,13 @@ class TestArrivalCheck:
                 assert better  # improving either quantity never flips true -> false
 
 
+@pytest.mark.parametrize("field", ["inlier_tol_px", "distance_threshold_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_match_params_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        MatchParams(**{field: value})
+
+
 def test_match_images_reports_raw_and_inlier_counts():
     # raw match count >= inliers and mask length matches
     rng = np.random.default_rng(15)

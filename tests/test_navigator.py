@@ -96,6 +96,11 @@ class TestMissionConfig:
         with pytest.raises(ValueError):
             MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=optimal_policy, observation_period=0)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_control_step_rejected(self, optimal_policy, goal, step):
+        with pytest.raises(ValueError, match="control step"):
+            MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=optimal_policy, control_step_m=step)
+
 
 class TestMission:
     def test_adjacent_start_single_leg(self, world_and_reg, grid, optimal_policy, goal, library):
