@@ -155,7 +155,7 @@ def detect_keypoints(gray: np.ndarray, max_keypoints: int) -> np.ndarray:
     with a response above a threshold relative to the global peak. In
     response order (ties broken by row, then column, so the output is
     deterministic) a candidate closer than ``NMS_RADIUS`` to an earlier kept
-    one is dropped (see ``_nms_keep``). Kept peaks get a clamped parabolic
+    one is dropped (see ``_nms_kept``). Kept peaks get a clamped parabolic
     sub-pixel refine.
     """
     if max_keypoints < 1:
@@ -188,7 +188,7 @@ def detect_keypoints(gray: np.ndarray, max_keypoints: int) -> np.ndarray:
     xs += pad
     order = np.lexsort((xs, ys, -response[ys, xs]))
     ys, xs = ys[order], xs[order]
-    kept = np.flatnonzero(_nms_keep(xs, ys, response))[:max_keypoints]
+    kept = _nms_kept(xs, ys, response, max_keypoints)
     ys, xs = ys[kept], xs[kept]
 
     center = response[ys, xs]
@@ -210,42 +210,43 @@ def _window_max(a: np.ndarray) -> np.ndarray:
     return np.maximum(a[:len(a) - size + width], a[size - width:])
 
 
-def _nms_keep(xs: np.ndarray, ys: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Keep flags of the greedy pass that visits the candidates at ``xs,
-    ys`` in response order (then raster order) and drops each one closer
-    than ``NMS_RADIUS`` to a candidate it kept before.
+def _nms_kept(xs: np.ndarray, ys: np.ndarray, response: np.ndarray, max_keypoints: int) -> np.ndarray:
+    """Indices of the first ``max_keypoints`` candidates kept by the greedy
+    pass that visits the candidates at ``xs, ys`` in response order (then
+    raster order) and drops each one closer than ``NMS_RADIUS`` to a
+    candidate it kept before.
 
     Candidates are maxima of their ``2 NMS_RADIUS + 1`` window, so two of
     them closer than ``NMS_RADIUS`` lie in each other's window and have
-    equal response; the earlier of the two in the visiting order is then the
-    earlier in raster order. Only candidates in runs of equal response can
-    be dropped, each by raster-earlier neighbours alone. Those neighbours are
-    read off a label plane at ``_EARLIER_OFFSETS``, and the flags settle in
-    rounds: a candidate is dropped once one of its neighbours is kept, and
-    kept once all of them are dropped. Each round settles at least the
-    first unsettled candidate; without ties no round runs.
+    equal response; in the visiting order they are then in raster order.
+    So only candidates in runs of equal response can be dropped, and each
+    only by raster-earlier ones. Among those tied candidates the pass jumps
+    from a kept one, past the later neighbours it drops (read off a label
+    plane at ``_EARLIER_OFFSETS``), to the next one not dropped: one step
+    per kept tied candidate before the cap, and none without ties.
     """
     values = response[ys, xs]
     same = values[1:] == values[:-1]
     tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
-    ty, tx = ys[tied], xs[tied]
-    label = np.full(response.shape, -1, dtype=np.int32)
-    label[ty, tx] = np.arange(len(tied))
-    # peaks lie _PATCH_PAD > NMS_RADIUS from the border: no lookup leaves the plane
-    neighbours = label[ty[:, None] - _EARLIER_OFFSETS[:, 0], tx[:, None] - _EARLIER_OFFSETS[:, 1]]
+    k = len(tied)
+    label = np.full(response.shape, k, dtype=np.int32)
+    label[ys[tied], xs[tied]] = np.arange(k)
+    dy, dx = _EARLIER_OFFSETS.T
 
-    # state: 1 kept, 0 dropped, -1 unsettled; label -1 (no neighbour) reads
-    # the trailing 0
-    state = np.full(len(tied) + 1, -1, dtype=np.int8)
-    state[-1] = 0
-    while (state[:-1] < 0).any():
-        seen = state[neighbours]
-        unsettled = state[:-1] < 0
-        state[:-1][unsettled & (seen == 1).any(axis=1)] = 0
-        state[:-1][unsettled & (seen == 0).all(axis=1)] = 1
+    # slot k takes the marks of absent neighbours; slot k + 1 stays open and ends the walk
+    open_ = np.ones(k + 2, dtype=bool)
     keep = np.ones(len(xs), dtype=bool)
-    keep[tied] = state[:-1] == 1
-    return keep
+    keep[tied] = False
+    i = n_kept = 0
+    # tied[i] - i untied candidates come before tied[i], all of them kept
+    while i < k and tied[i] - i + n_kept < max_keypoints:
+        y, x = ys[tied[i]], xs[tied[i]]
+        keep[tied[i]] = True
+        n_kept += 1
+        # peaks lie _PATCH_PAD > NMS_RADIUS from the border: no lookup leaves the plane
+        open_[label[y + dy, x + dx]] = False
+        i += 1 + int(np.argmax(open_[i + 1:]))
+    return np.flatnonzero(keep)[:max_keypoints]
 
 
 def _vertex_offsets(left: np.ndarray, center: np.ndarray, right: np.ndarray) -> np.ndarray:
