@@ -48,8 +48,8 @@ _PATCH_PAD = _PATCH // 2 + 1
 _MIN_IMAGE_SIDE = 32
 NMS_RADIUS = 8       # px between kept corners
 _REL_THRESHOLD = 1e-4  # corner response floor relative to the image's peak
-# raster offsets (dy, dx) from a pixel back to the earlier pixels closer than NMS_RADIUS
-_EARLIER_OFFSETS = np.array([
+# raster offsets (dy, dx) from a pixel to the later pixels closer than NMS_RADIUS
+_LATER_OFFSETS = np.array([
     (dy, dx)
     for dy in range(NMS_RADIUS)
     for dx in range(1 - NMS_RADIUS, NMS_RADIUS)
@@ -222,7 +222,7 @@ def _nms_kept(xs: np.ndarray, ys: np.ndarray, response: np.ndarray, max_keypoint
     So only candidates in runs of equal response can be dropped, and each
     only by raster-earlier ones. Among those tied candidates the pass jumps
     from a kept one, past the later neighbours it drops (read off a label
-    plane at ``_EARLIER_OFFSETS``), to the next one not dropped: one step
+    plane at ``_LATER_OFFSETS``), to the next one not dropped: one step
     per kept tied candidate before the cap, and none without ties.
     """
     values = response[ys, xs]
@@ -231,7 +231,7 @@ def _nms_kept(xs: np.ndarray, ys: np.ndarray, response: np.ndarray, max_keypoint
     k = len(tied)
     label = np.full(response.shape, k, dtype=np.int32)
     label[ys[tied], xs[tied]] = np.arange(k)
-    dy, dx = _EARLIER_OFFSETS.T
+    dy, dx = _LATER_OFFSETS.T
 
     # slot k takes the marks of absent neighbours; slot k + 1 stays open and ends the walk
     open_ = np.ones(k + 2, dtype=bool)
