@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ _LATER_OFFSETS = np.array([
     for dx in range(1 - NMS_RADIUS, NMS_RADIUS)
     if (dy > 0 or dx > 0) and dy * dy + dx * dx < NMS_RADIUS ** 2
 ])
-_RANSAC_BLOCK = 16   # hypotheses scored before the rest are drawn
+_RANSAC_BLOCK = 16   # hypotheses scored before the rest
 
 
 @dataclass
@@ -377,9 +378,10 @@ def estimate_affine_ransac(
     """RANSAC affine fit mapping ``(n, 2)`` points ``src`` onto ``dst``,
     over minimal 3-point solves.
 
-    Hypotheses are drawn and scored in seed order, in two blocks: the
-    first ``_RANSAC_BLOCK``, then the rest. No hypothesis can have more
-    than ``n`` inliers, so once one has all ``n`` the rest are never drawn.
+    Hypotheses are the triples of ``_ransac_triples``, scored in seed
+    order in two blocks: the first ``_RANSAC_BLOCK``, then the rest. No
+    hypothesis can have more than ``n`` inliers, so once one has all ``n``
+    the rest are never scored.
     The winner is the model with the most inliers (the earliest iteration
     wins ties), then refit by least squares on its full inlier set. The
     returned mask is re-evaluated under the refit model.
@@ -390,13 +392,12 @@ def estimate_affine_ransac(
     if n < 3:
         raise InsufficientMatchesError(f"affine estimation needs >= 3 correspondences, got {n}")
 
-    rng = np.random.default_rng(rng_seed)
+    triples = _ransac_triples(n, iterations, rng_seed)
     src_h = np.hstack([src, np.ones((n, 1))])  # (n, 3)
     counts, params = [], []
     first = min(_RANSAC_BLOCK, iterations)
-    for size in (first, iterations - first):
-        draws = [rng.choice(n, size=3, replace=False) for _ in range(size)]
-        samples = np.array(draws, dtype=np.intp).reshape(size, 3)
+    for samples in (triples[:first], triples[first:]):
+        size = len(samples)
         mats = src_h[samples]                                  # (size, 3, 3)
         valid = np.abs(np.linalg.det(mats)) > 1e-6            # collinear samples are degenerate
         block = np.zeros((size, 3, 2))
@@ -418,6 +419,52 @@ def estimate_affine_ransac(
     model = AffineTransform(refit.T)
     final_mask = np.linalg.norm(src_h @ refit - dst, axis=1) <= inlier_tol_px
     return model, final_mask
+
+
+def _swaps(s2: int, s1: int) -> list[int]:
+    """Where ``Generator.choice``'s final shuffle moves each triple slot:
+    swap slots ``s2`` and 2, then ``s1`` and 1."""
+    p = [0, 1, 2]
+    p[s2], p[2] = p[2], p[s2]
+    p[s1], p[1] = p[1], p[s1]
+    return p
+
+
+# row [s2, s1]: the slot each output slot of the shuffled triple comes from
+_SHUFFLES = np.array([[_swaps(s2, s1) for s1 in range(2)] for s2 in range(3)])
+
+
+def _ransac_triples(n: int, count: int, seed: int) -> np.ndarray:
+    """``(count, 3)`` index triples, row ``i`` equal to the ``i``-th of
+    successive ``default_rng(seed).choice(n, 3, replace=False)`` calls,
+    drawn in one pass over the generator's raw stream.
+
+    For three of ``n`` numpy's ``choice`` runs Floyd's algorithm: draws in
+    ``[0, j]`` for ``j = n - 3, n - 2, n - 1`` (none when ``j = 0``), each
+    replaced by ``j`` when already taken, then shuffles the triple with
+    draws in ``[0, 2]`` and ``[0, 1]``. Each draw is Lemire's multiply-shift
+    on one 32-bit half of a 64-bit output, low half first (Lemire 2019),
+    and is rejected, shifting the rest of the stream, when the low product
+    word falls below ``2**32 % (j + 1)``; the chance is below 1.2e-7 per
+    draw for ``n`` up to 500. On any rejection, and for ``n > 2**32 - 1``
+    (where numpy draws 64-bit words), the triples come from the ``choice``
+    calls themselves.
+    """
+    if n - 1 < 0xFFFFFFFF:
+        bounds = [n - 2, n - 1, n, 3, 2][n == 3:]  # j + 1 of each draw
+        raw = np.random.default_rng(seed).bit_generator.random_raw((count * len(bounds) + 1) // 2)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).ravel()[:count * len(bounds)]
+        product = words.reshape(count, len(bounds)) * np.array(bounds, dtype=np.uint64)
+        floors = np.array([2**32 % b for b in bounds], dtype=np.uint64)
+        if not np.any((product & 0xFFFFFFFF) < floors):
+            v = (product >> np.uint64(32)).astype(np.intp)
+            a = v[:, 0] if n > 3 else np.zeros(count, dtype=np.intp)
+            b = np.where(v[:, -4] == a, n - 2, v[:, -4])
+            c = np.where((v[:, -3] == a) | (v[:, -3] == b), n - 1, v[:, -3])
+            return np.take_along_axis(np.stack([a, b, c], axis=1), _SHUFFLES[v[:, -2], v[:, -1]], axis=1)
+    rng = np.random.default_rng(seed)
+    draws = [rng.choice(n, size=3, replace=False) for _ in range(count)]
+    return np.array(draws, dtype=np.intp).reshape(count, 3)
 
 
 def _residuals(src: np.ndarray, dst: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -456,6 +503,19 @@ def match_images(
     result with no affine rather than an exception, so ranking can proceed.
     """
     pairs = match_descriptors(observation.descriptors, candidate.descriptors, params.ratio)
+    return _fit_pairs(observation, candidate, pairs, params, gsd, target)
+
+
+def _fit_pairs(
+    observation: DescriptorSet,
+    candidate: DescriptorSet,
+    pairs: np.ndarray,
+    params: MatchParams,
+    gsd: float,
+    target: LandmarkId | None,
+) -> MatchResult:
+    """The robust affine and center distance of ``match_images``, from the
+    mutual pairs it matched."""
     affine = None
     mask = None
     inliers = 0
@@ -500,6 +560,37 @@ def rank_neighbors(results: list[MatchResult]) -> list[MatchResult]:
             r.center_distance_m if r.center_distance_m is not None else math.inf,
         ),
     )
+
+
+def target_ranks_first(
+    observation: DescriptorSet,
+    target_result: MatchResult,
+    candidates: Iterable[LandmarkId],
+    lookup: Callable[[LandmarkId], DescriptorSet],
+    params: MatchParams,
+    gsd: float,
+) -> bool:
+    """Whether ``target_result`` ranks first (``rank_neighbors``) among the
+    ``match_images`` results of ``observation`` against ``candidates``:
+    landmark ids in ranking order, ``target_result.target`` in its own place.
+    ``lookup`` gives each rival's descriptor set.
+
+    Every rival is matched, but an inlier set is a subset of the pairs, so
+    a rival with fewer pairs than the target has inliers ranks below the
+    target and is not fitted. A rival with as many can still tie or win
+    (ties break on center distance, then position) and is fitted.
+    """
+    target = target_result.target
+    results = []
+    for lid in candidates:
+        if lid == target:
+            results.append(target_result)
+            continue
+        candidate = lookup(lid)
+        pairs = match_descriptors(observation.descriptors, candidate.descriptors, params.ratio)
+        if len(pairs) >= target_result.inliers:
+            results.append(_fit_pairs(observation, candidate, pairs, params, gsd, lid))
+    return rank_neighbors(results)[0].target == target
 
 
 def arrival_check(result: MatchResult, distance_threshold_m: float, min_inliers: int) -> bool:

@@ -29,7 +29,7 @@ from .matching import (
     arrival_check,
     build_descriptor_set,
     match_images,
-    rank_neighbors,
+    target_ranks_first,
 )
 from .policy import PolicyTable
 from .raster import GeoRegistration, RasterImage
@@ -249,14 +249,11 @@ def run_mission(
                 if closest_approach(res, best_cd, sample_floor, params.min_inliers):
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
-                    results = [
-                        res if nid == target
-                        else match_images(obs_set, library.get(nid), params, reg.gsd, target=nid)
-                        for nid in neighbors(grid, cell).values()
-                        if nid is not None
-                    ]
                     rec.arrival = target
-                    rec.confirmed = rank_neighbors(results)[0].target == target
+                    rec.confirmed = target_ranks_first(
+                        obs_set, res, [nid for nid in neighbors(grid, cell).values() if nid is not None],
+                        library.get, params, reg.gsd,
+                    )
                     break
                 if arrival_check(res, params.distance_threshold_m, params.min_inliers):
                     best_cd = res.center_distance_m

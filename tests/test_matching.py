@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from uasnav.matching import (
     match_descriptors,
     match_images,
     rank_neighbors,
+    target_ranks_first,
 )
 
 
@@ -351,6 +353,94 @@ class TestRankNeighbors:
         ]
         ranked = rank_neighbors(results)
         assert [r.target.col for r in ranked] == [2, 3, 1, 4, 5, 0]
+
+
+def _ranks_first_in_full(obs, target_res, order, lookup, params, gsd):
+    """The decision from fitting every candidate and ranking the lot."""
+    results = [
+        target_res if lid == target_res.target else match_images(obs, lookup(lid), params, gsd, target=lid)
+        for lid in order
+    ]
+    return rank_neighbors(results)[0].target == target_res.target
+
+
+class TestTargetRanksFirst:
+    """``target_ranks_first`` skips the fit of rivals with fewer pairs than
+    the target has inliers; its decision must equal the full ranking's."""
+
+    def _synthetic(self):
+        # 60 random unit descriptors at random points of a 640x480 view
+        rng = np.random.default_rng(21)
+        desc = rng.normal(size=(60, 128))
+        desc /= np.linalg.norm(desc, axis=1)[:, None]
+        xy = rng.uniform([20.0, 20.0], [620.0, 460.0], (60, 2))
+
+        def view(k, shift=(0.0, 0.0), outliers=0):
+            # the first k observation descriptors, moved by shift; the first
+            # `outliers` of them land at random points instead
+            pts = xy[:k] + shift
+            pts[:outliers] = rng.uniform([20.0, 20.0], [620.0, 460.0], (outliers, 2))
+            return DescriptorSet(np.column_stack([pts, np.ones(k)]), desc[:k].copy(), (640, 480))
+
+        return view(60), view
+
+    def _decide(self, obs, sets, order, target, params=MatchParams(), gsd=0.25):
+        target_res = match_images(obs, sets[target], params, gsd, target=target)
+        full = _ranks_first_in_full(obs, target_res, order, sets.__getitem__, params, gsd)
+        assert target_ranks_first(obs, target_res, order, sets.__getitem__, params, gsd) == full
+        return full
+
+    def test_criterion_6_observations(self, world_and_reg, grid, match_params, library):
+        world, reg = world_and_reg
+        rng = np.random.default_rng(606)
+        decisions = []
+        for trial in range(8):
+            cell = LandmarkId(int(rng.integers(1, grid.cols - 1)), int(rng.integers(1, grid.rows - 1)))
+            order = [nid for nid in neighbors(grid, cell).values() if nid is not None]
+            target = order[int(rng.integers(len(order)))]
+            # half the views are taken at a rival, where the target should lose
+            seen = target if trial % 2 == 0 else next(n for n in order if n != target)
+            pos = landmark_position(grid, seen) + rng.uniform(-3.0, 3.0, 2)
+            perturb = PerturbationSpec(
+                gain=float(rng.uniform(0.7, 1.4)),
+                bias=float(rng.uniform(-20.0, 20.0)),
+                noise_sigma=float(rng.uniform(0.0, 5.0)),
+                rotation_jitter=math.radians(float(rng.uniform(0.0, 5.0))),
+                translation_jitter=2.0,
+                rng_seed=int(rng.integers(1 << 31)),
+            )
+            obs = build_descriptor_set(render_observation(world, reg, Pose(pos[0], pos[1]), perturb), match_params)
+            params = replace(match_params, rng_seed=match_params.rng_seed + trial)
+            target_res = match_images(obs, library.get(target), params, reg.gsd, target=target)
+            full = _ranks_first_in_full(obs, target_res, order, library.get, match_params, reg.gsd)
+            assert target_ranks_first(obs, target_res, order, library.get, match_params, reg.gsd) == full
+            decisions.append(full)
+        assert decisions == [True, False] * 4
+
+    def test_rival_with_enough_pairs_wins(self):
+        obs, view = self._synthetic()
+        a, b, c = LandmarkId(0, 0), LandmarkId(1, 0), LandmarkId(2, 0)
+        # target: 50 pairs, 30 of them inliers; b: 40 pairs, all inliers; c: 20 pairs, not fitted
+        sets = {a: view(50, (5.0, 0.0), outliers=20), b: view(40, (6.0, 2.0)), c: view(20)}
+        assert not self._decide(obs, sets, [c, a, b], a)
+        assert self._decide(obs, {a: sets[a], c: sets[c]}, [c, a], a)
+
+    @pytest.mark.parametrize("rival_shift, target_wins", [((4.0, 0.0), False), ((12.0, 0.0), True)])
+    def test_inlier_tie_breaks_on_center_distance(self, rival_shift, target_wins):
+        obs, view = self._synthetic()
+        a, b = LandmarkId(0, 0), LandmarkId(1, 0)
+        # 40 pairs each, all inliers: the rival has exactly the target's inliers in pairs
+        sets = {a: view(40, (8.0, 0.0)), b: view(40, rival_shift)}
+        assert self._decide(obs, sets, [a, b], a) == target_wins
+        assert self._decide(obs, sets, [b, a], a) == target_wins
+
+    def test_exact_tie_breaks_on_position(self):
+        obs, view = self._synthetic()
+        a, b = LandmarkId(0, 0), LandmarkId(1, 0)
+        same = view(40, (3.0, 1.0))
+        sets = {a: same, b: same}
+        assert self._decide(obs, sets, [a, b], a)
+        assert not self._decide(obs, sets, [b, a], a)
 
 
 class TestArrivalCheck:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import gaussian_filter, maximum_filter
 
+from uasnav import matching
 from uasnav.errors import BoundsError, DegenerateGeometryError, InsufficientMatchesError
 from uasnav.grid import LandmarkId, landmark_position
 from uasnav.imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_observation
@@ -25,6 +26,7 @@ from uasnav.matching import (
     DESCRIPTOR_DIM,
     NMS_RADIUS,
     AffineTransform,
+    _ransac_triples,
     _residuals,
     _vertex_offsets,
     describe,
@@ -349,18 +351,53 @@ class TestRansacMatchesReference:
 
 def test_all_inlier_set_stops_after_first_block(monkeypatch):
     src, dst = _affine_set(300, 0.0, 0.0, 4)
-    real = np.random.default_rng
-    draws = []
+    scored = []
 
-    class CountingRng:
-        def __init__(self, seed):
-            self._rng = real(seed)
+    def counting(src, dst, params):
+        scored.append(len(params))
+        return _residuals(src, dst, params)
 
-        def choice(self, *args, **kwargs):
-            draws.append(args)
-            return self._rng.choice(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(matching, "_residuals", counting)
     _, mask = estimate_affine_ransac(src, dst, 3.0, 500, 5)
     assert mask.all()
-    assert 1 <= len(draws) <= 16
+    assert 1 <= sum(scored) <= 16
+
+
+def _choice_calls(n, count, seed):
+    """``count`` successive ``choice(n, 3, replace=False)`` calls of the
+    generator ``default_rng(seed)`` builds."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)]).reshape(count, 3)
+
+
+class TestRansacTriples:
+    @pytest.mark.parametrize("n", [3, *range(4, 41), 343, 10000, 10001])
+    def test_equal_successive_choice_calls(self, n):
+        for seed in range(15):
+            for count in (1, 16, 500):
+                got = _ransac_triples(n, count, seed)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, _choice_calls(n, count, seed)), (n, seed, count)
+
+    def test_rejected_draw_falls_back_to_choice_calls(self, monkeypatch):
+        # bounds just above 2**31 reject about half of their draws
+        n = 2**31 + 2
+        fell_back = set()
+        default_rng = np.random.default_rng
+
+        class RecordingRng:
+            """``default_rng``, recording which calls draw through ``choice``."""
+
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+                self.bit_generator = self._rng.bit_generator
+
+            def choice(self, *args, **kwargs):
+                fell_back.add(self)
+                return self._rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        cases = [(seed, count) for seed in range(15) for count in (1, 3)]
+        for seed, count in cases:
+            assert np.array_equal(_ransac_triples(n, count, seed), _choice_calls(n, count, seed)), (seed, count)
+        assert 0 < len(fell_back) < len(cases)

@@ -131,6 +131,26 @@ class TestMission:
         assert len(log.arrivals) == 1
         assert len(calls) == sum(r.attempted for r in log.records) + 3
 
+    def test_arrival_fits_no_rival_that_cannot_win(
+        self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
+    ):
+        # one RANSAC fit per attempt: at the arrival every other neighbor
+        # has fewer mutual matches than the target has inliers
+        world, reg = world_and_reg
+        calls = []
+        original = matching.estimate_affine_ransac
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "estimate_affine_ransac", counting)
+        cfg = MissionConfig(start=LandmarkId(5, 4), goal=goal, policy=optimal_policy)
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        assert len(log.arrivals) == 1 and log.arrivals[0].confirmed
+        assert len(calls) == sum(r.attempted for r in log.records)
+
     def test_arrival_count_equals_manhattan(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
         start = LandmarkId(2, 3)
