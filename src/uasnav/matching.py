@@ -421,19 +421,6 @@ def estimate_affine_ransac(
     return model, final_mask
 
 
-def _swaps(s2: int, s1: int) -> list[int]:
-    """Where ``Generator.choice``'s final shuffle moves each triple slot:
-    swap slots ``s2`` and 2, then ``s1`` and 1."""
-    p = [0, 1, 2]
-    p[s2], p[2] = p[2], p[s2]
-    p[s1], p[1] = p[1], p[s1]
-    return p
-
-
-# row [s2, s1]: the slot each output slot of the shuffled triple comes from
-_SHUFFLES = np.array([[_swaps(s2, s1) for s1 in range(2)] for s2 in range(3)])
-
-
 def _ransac_triples(n: int, count: int, seed: int) -> np.ndarray:
     """``(count, 3)`` index triples, row ``i`` equal to the ``i``-th of
     successive ``default_rng(seed).choice(n, 3, replace=False)`` calls,
@@ -446,11 +433,11 @@ def _ransac_triples(n: int, count: int, seed: int) -> np.ndarray:
     on one 32-bit half of a 64-bit output, low half first (Lemire 2019),
     and is rejected, shifting the rest of the stream, when the low product
     word falls below ``2**32 % (j + 1)``; the chance is below 1.2e-7 per
-    draw for ``n`` up to 500. On any rejection, and for ``n > 2**32 - 1``
-    (where numpy draws 64-bit words), the triples come from the ``choice``
-    calls themselves.
+    draw for ``n`` up to 500. On any rejection, and for ``n >= 2**32``
+    (where numpy's draw for ``j = n - 1`` is no 32-bit Lemire draw), the
+    triples come from the ``choice`` calls themselves.
     """
-    if n - 1 < 0xFFFFFFFF:
+    if n < 2**32:
         bounds = [n - 2, n - 1, n, 3, 2][n == 3:]  # j + 1 of each draw
         raw = np.random.default_rng(seed).bit_generator.random_raw((count * len(bounds) + 1) // 2)
         words = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).ravel()[:count * len(bounds)]
@@ -461,7 +448,10 @@ def _ransac_triples(n: int, count: int, seed: int) -> np.ndarray:
             a = v[:, 0] if n > 3 else np.zeros(count, dtype=np.intp)
             b = np.where(v[:, -4] == a, n - 2, v[:, -4])
             c = np.where((v[:, -3] == a) | (v[:, -3] == b), n - 1, v[:, -3])
-            return np.take_along_axis(np.stack([a, b, c], axis=1), _SHUFFLES[v[:, -2], v[:, -1]], axis=1)
+            triples, rows = np.stack([a, b, c], axis=1), np.arange(count)
+            for i, j in ((2, v[:, -2]), (1, v[:, -1])):  # swap slots i and j
+                triples[rows, i], triples[rows, j] = triples[rows, j], triples[rows, i]
+            return triples
     rng = np.random.default_rng(seed)
     draws = [rng.choice(n, size=3, replace=False) for _ in range(count)]
     return np.array(draws, dtype=np.intp).reshape(count, 3)

@@ -371,7 +371,8 @@ def _choice_calls(n, count, seed):
 
 
 class TestRansacTriples:
-    @pytest.mark.parametrize("n", [3, *range(4, 41), 343, 10000, 10001])
+    # 2**32 - 1 is the largest n replayed; from 2**32 on the choice calls run
+    @pytest.mark.parametrize("n", [3, *range(4, 41), 343, 10000, 10001, 2**32 - 5, 2**32 - 1, 2**32, 2**32 + 7])
     def test_equal_successive_choice_calls(self, n):
         for seed in range(15):
             for count in (1, 16, 500):
