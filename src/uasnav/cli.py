@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import imagery, matching, navigator, policy as policymod, svgplot
 from .errors import ConfigError, UasNavError
-from .grid import GridSpec, random_start, write_episode_logs
+from .grid import GridSpec, write_episode_logs
 from .raster import (
     GeoRegistration,
     RasterImage,
@@ -40,21 +40,39 @@ def _load_run_config(args) -> cfgmod.RunConfig:
     return cfg
 
 
+def _read_world(raster_path, sidecar_path, grid: GridSpec) -> tuple[RasterImage, GeoRegistration]:
+    """A world raster and its sidecar from disk, checked to cover the grid."""
+    world = read_pnm(raster_path)
+    reg = read_sidecar(sidecar_path)
+    imagery.check_world_coverage(world, reg, grid)
+    return world, reg
+
+
 def _resolve_world(cfg: cfgmod.RunConfig, grid: GridSpec) -> tuple[RasterImage, GeoRegistration]:
     """Use the built world files when present, else synthesize in memory."""
     out = cfg.output_dir
     raster_path = out / str(cfg["imagery"]["world_raster"])
     sidecar_path = out / str(cfg["imagery"]["world_sidecar"])
     if raster_path.exists() and sidecar_path.exists():
-        world = read_pnm(raster_path)
-        reg = read_sidecar(sidecar_path)
-        return imagery.ingest_world(world, reg, grid)
+        return _read_world(raster_path, sidecar_path, grid)
     if cfg["imagery"]["mode"] == "synthetic":
         return imagery.build_world(grid, cfg.world_spec())
     raise ConfigError(
         f"imagery mode is 'ingest' but {raster_path} / {sidecar_path} are missing; "
         f"run build-env first to stage the ingested world"
     )
+
+
+def _load_policy(args, cfg: cfgmod.RunConfig, grid: GridSpec) -> policymod.PolicyTable:
+    """``--policy`` or ``<output_dir>/<mission.policy_file>``, on the configured grid."""
+    path = Path(args.policy) if args.policy else cfg.output_dir / str(cfg["mission"]["policy_file"])
+    learned = policymod.load_policy(path)
+    if (learned.cols, learned.rows) != (grid.cols, grid.rows):
+        raise ConfigError(
+            f"policy grid {learned.cols}x{learned.rows} does not match configured "
+            f"{grid.cols}x{grid.rows}"
+        )
+    return learned
 
 
 def cmd_build_env(args) -> int:
@@ -72,23 +90,19 @@ def cmd_build_env(args) -> int:
             raise ConfigError(
                 "[imagery] mode = ingest needs ingest_raster and ingest_sidecar paths"
             )
-        world = read_pnm(src_raster)
-        reg = read_sidecar(src_sidecar)
-        imagery.ingest_world(world, reg, grid)
+        world, reg = _read_world(src_raster, src_sidecar, grid)
 
     world_name = str(cfg["imagery"]["world_raster"])
     write_pnm(world, out / world_name)
     write_sidecar(reg, out / str(cfg["imagery"]["world_sidecar"]))
     lm_dir = out / "landmarks"
     lm_dir.mkdir(exist_ok=True)
-    count = 0
     for lid in grid.all_landmarks():
         crop = imagery.landmark_descriptor_image(world, reg, grid, lid)
         write_pnm(crop, lm_dir / f"lm_{lid.col}_{lid.row}.ppm")
-        count += 1
     print(f"world: {out / world_name} ({world.width}x{world.height}, gsd {reg.gsd} m/px)")
-    print(f"landmarks: {count} files in {lm_dir}")
-    print(f"status=ok world={out / world_name} landmarks={count}")
+    print(f"landmarks: {grid.n_landmarks} files in {lm_dir}")
+    print(f"status=ok world={out / world_name} landmarks={grid.n_landmarks}")
     return 0
 
 
@@ -133,15 +147,9 @@ def cmd_eval(args) -> int:
     grid = cfg.grid_spec()
     rewards = cfg.reward_spec()
     out = cfg.output_dir
-    policy_path = Path(args.policy) if args.policy else out / str(cfg["mission"]["policy_file"])
     if cfg["train"]["eval_episodes"] < 1:
         raise ConfigError("[train]: eval_episodes must be at least 1")
-    learned = policymod.load_policy(policy_path)
-    if (learned.cols, learned.rows) != (grid.cols, grid.rows):
-        raise ConfigError(
-            f"policy grid {learned.cols}x{learned.rows} does not match configured "
-            f"{grid.cols}x{grid.rows}"
-        )
+    learned = _load_policy(args, cfg, grid)
     summary = policymod.evaluate(
         grid,
         rewards,
@@ -153,17 +161,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary.write_csv(out / "eval.csv")
     if args.transitions:
-        # replay the same seeded rollouts at transition level
-        rng = np.random.default_rng(cfg["train"]["eval_seed"])
-        logs = [
-            policymod.rollout(
-                grid, rewards, learned,
-                random_start(grid, learned.goal, rng),
-                cfg["grid"]["max_episode_steps"],
-            )
-            for _ in range(cfg["train"]["eval_episodes"])
-        ]
-        write_episode_logs(logs, args.transitions)
+        write_episode_logs(summary.episodes, args.transitions)
         print(f"transitions: {args.transitions}")
     enumerated = policymod.enumerated_mean_manhattan(grid, learned.goal)
     print(
@@ -243,13 +241,7 @@ def cmd_fly(args) -> int:
     grid = cfg.grid_spec()
     out = cfg.output_dir
     cfg.perturbation()  # a bad perturbation exits 2 even before the policy is read
-    policy_path = Path(args.policy) if args.policy else out / str(cfg["mission"]["policy_file"])
-    learned = policymod.load_policy(policy_path)
-    if (learned.cols, learned.rows) != (grid.cols, grid.rows):
-        raise ConfigError(
-            f"policy grid {learned.cols}x{learned.rows} does not match configured "
-            f"{grid.cols}x{grid.rows}"
-        )
+    learned = _load_policy(args, cfg, grid)
     goal = cfg.goal()
     if learned.goal != goal:
         raise ConfigError(
@@ -260,9 +252,7 @@ def cmd_fly(args) -> int:
     world, reg = _resolve_world(cfg, grid)
     log = navigator.run_mission(world, reg, grid, mission_cfg)
     out.mkdir(parents=True, exist_ok=True)
-    navigator.export_trajectory(
-        log, out / "mission.csv", out / "mission.svg", world=world, reg=reg, grid=grid
-    )
+    navigator.export_trajectory(log, out / "mission.csv", out / "mission.svg", world, reg, grid)
     print(
         f"mission: outcome={log.outcome.value} arrivals={len(log.arrivals)} "
         f"ticks={log.ticks} distance_m={log.distance_flown_m:.1f}"

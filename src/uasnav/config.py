@@ -123,7 +123,6 @@ class RunConfig:
 
     values: dict[str, dict[str, object]]
     provenance: list[str]
-    path: Path | None
 
     def __getitem__(self, section: str) -> dict[str, object]:
         return self.values[section]
@@ -260,7 +259,7 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
                 values[section][key] = default
                 provenance.append(f"{section}.{key} = {default} (default)")
 
-    return RunConfig(values=values, provenance=provenance, path=Path(path) if path else None)
+    return RunConfig(values=values, provenance=provenance)
 
 
 def write_reference_config(path) -> None:

@@ -146,7 +146,6 @@ class Transition:
 @dataclass
 class EpisodeLog:
     start: LandmarkId
-    goal: LandmarkId
     transitions: list[Transition] = field(default_factory=list)
 
     @property
@@ -212,15 +211,13 @@ def step(
     return Transition(state, action, rewards.step_penalty, nxt, False)
 
 
-def random_start(grid: GridSpec, goal: LandmarkId, rng: np.random.Generator | int) -> LandmarkId:
-    """Uniformly random non-goal landmark; deterministic given the seed.
+def random_start(grid: GridSpec, goal: LandmarkId, rng: np.random.Generator) -> LandmarkId:
+    """Uniformly random non-goal landmark; one draw from ``rng``.
 
     A single draw over n-1 slots is remapped around the goal index, so the
     distribution over the non-goal cells is exactly uniform.
     """
     grid.check(goal)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     goal_flat = grid.flat_index(goal)
     draw = int(rng.integers(0, grid.n_landmarks - 1))
     if draw >= goal_flat:

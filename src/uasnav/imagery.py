@@ -38,10 +38,6 @@ class Pose:
         if not -math.pi <= self.heading < math.pi:
             raise ValueError(f"heading must be in [-pi, pi), got {self.heading}")
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -102,7 +98,8 @@ def required_world_bounds(grid: GridSpec, gsd: float) -> tuple[float, float, flo
     return ox - half_w, oy - half_h, ox + ex + half_w, oy + ey + half_h
 
 
-def _check_world_coverage(world: RasterImage, reg: GeoRegistration, grid: GridSpec) -> None:
+def check_world_coverage(world: RasterImage, reg: GeoRegistration, grid: GridSpec) -> None:
+    """Raise ``CoverageError`` unless the raster covers the grid plus one half-window."""
     west, south, east, north = required_world_bounds(grid, reg.gsd)
     corners = np.array([[west, north], [east, north], [west, south], [east, south]])
     p = reg.world_to_pixel(corners)
@@ -201,13 +198,7 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
     pixels = np.rint(np.clip(rgb, 0.0, 255.0)).astype(np.uint8)
 
     world = RasterImage(pixels=pixels)
-    _check_world_coverage(world, reg, grid)
-    return world, reg
-
-
-def ingest_world(world: RasterImage, reg: GeoRegistration, grid: GridSpec) -> tuple[RasterImage, GeoRegistration]:
-    """Validate an externally supplied raster against the coverage contract."""
-    _check_world_coverage(world, reg, grid)
+    check_world_coverage(world, reg, grid)
     return world, reg
 
 

@@ -238,10 +238,9 @@ def run_mission(
                     return end(*_overrun(min_true, near_pass_m))
                 obs_set = build_descriptor_set(obs, params)
                 attempt = rec.tick // cfg.observation_period
-                res = match_images(
-                    obs_set, library.get(target), replace(params, rng_seed=params.rng_seed + attempt),
-                    reg.gsd, target=target,
-                )
+                # one RANSAC seed per attempt, for the target and any rival fit
+                attempt_params = replace(params, rng_seed=params.rng_seed + attempt)
+                res = match_images(obs_set, library.get(target), attempt_params, reg.gsd, target=target)
                 rec.attempted = True
                 rec.n_matches = res.n_matches
                 rec.inliers = res.inliers
@@ -252,7 +251,7 @@ def run_mission(
                     rec.arrival = target
                     rec.confirmed = target_ranks_first(
                         obs_set, res, [nid for nid in neighbors(grid, cell).values() if nid is not None],
-                        library.get, params, reg.gsd,
+                        library.get, attempt_params, reg.gsd,
                     )
                     break
                 if arrival_check(res, params.distance_threshold_m, params.min_inliers):
@@ -302,20 +301,15 @@ def read_mission_poses(path) -> np.ndarray:
 def export_trajectory(
     log: MissionLog,
     csv_path,
-    svg_path=None,
-    world: RasterImage | None = None,
-    reg: GeoRegistration | None = None,
-    grid: GridSpec | None = None,
+    svg_path,
+    world: RasterImage,
+    reg: GeoRegistration,
+    grid: GridSpec,
 ) -> None:
-    """Write the per-tick CSV and, when the world context is supplied, an
-    SVG overlay of the flight on a downsampled world raster with the
-    landmark lattice and arrival events marked."""
+    """Write the per-tick CSV and an SVG overlay of the flight on a
+    downsampled world raster with the landmark lattice and arrival events
+    marked."""
     write_mission_csv(log, csv_path)
-    if svg_path is None:
-        return
-    if world is None or reg is None or grid is None:
-        raise ValueError("SVG export needs world, registration, and grid")
-
     small = world.pixels[::_SVG_DOWNSAMPLE, ::_SVG_DOWNSAMPLE]
     scale = 1.0 / _SVG_DOWNSAMPLE
 

@@ -74,12 +74,13 @@ class PolicyTable:
         return self.best_action[state]
 
 
+def _starts(grid: GridSpec, goal: LandmarkId) -> list[LandmarkId]:
+    """The non-goal landmarks, in flat-index order."""
+    return [lid for lid in grid.all_landmarks() if lid != goal]
+
+
 def greedy_policy(qtable: QTable, grid: GridSpec) -> PolicyTable:
-    best = {
-        lid: qtable.greedy_action(grid, lid)
-        for lid in grid.all_landmarks()
-        if lid != qtable.goal
-    }
+    best = {lid: qtable.greedy_action(grid, lid) for lid in _starts(grid, qtable.goal)}
     return PolicyTable(best_action=best, goal=qtable.goal, cols=grid.cols, rows=grid.rows)
 
 
@@ -155,17 +156,24 @@ def _transition_tables(grid: GridSpec, rewards: RewardSpec, goal: LandmarkId):
     nxt = np.zeros((n, len(Action)), dtype=np.int64)
     rew = np.zeros((n, len(Action)))
     term = np.zeros((n, len(Action)), dtype=bool)
-    for lid in grid.all_landmarks():
+    for lid in _starts(grid, goal):  # the goal row is all zero; backups overwrite it
         s = grid.flat_index(lid)
-        if lid == goal:
-            nxt[s, :] = s  # never used; goal row stays at zero value
-            continue
         for action in Action:
             t = step(grid, rewards, lid, action, goal)
             nxt[s, action] = grid.flat_index(t.next_state)
             rew[s, action] = t.reward
             term[s, action] = t.terminal
     return nxt, rew, term
+
+
+def _backup(q: np.ndarray, tables, goal_flat: int, gamma: float) -> np.ndarray:
+    """One Bellman optimality backup of ``q``; the goal row stays at zero."""
+    nxt, rew, term = tables
+    v = q.max(axis=1)
+    v[goal_flat] = 0.0
+    out = rew + gamma * np.where(term, 0.0, v[nxt])
+    out[goal_flat, :] = 0.0
+    return out
 
 
 def value_iteration(
@@ -185,14 +193,11 @@ def value_iteration(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     grid.check(goal)
-    nxt, rew, term = _transition_tables(grid, rewards, goal)
+    tables = _transition_tables(grid, rewards, goal)
     goal_flat = grid.flat_index(goal)
-    q = np.zeros_like(rew)
+    q = np.zeros_like(tables[1])
     for _ in range(max_iterations):
-        v = q.max(axis=1)
-        v[goal_flat] = 0.0
-        q_new = rew + gamma * np.where(term, 0.0, v[nxt])
-        q_new[goal_flat, :] = 0.0
+        q_new = _backup(q, tables, goal_flat, gamma)
         delta = np.abs(q_new - q).max()
         q = q_new
         if delta <= tol:
@@ -202,12 +207,8 @@ def value_iteration(
 
 def bellman_residual(qtable: QTable, grid: GridSpec, rewards: RewardSpec) -> float:
     """Sup-norm residual of the Bellman optimality equation at every (s, a)."""
-    nxt, rew, term = _transition_tables(grid, rewards, qtable.goal)
-    goal_flat = grid.flat_index(qtable.goal)
-    v = qtable.values.max(axis=1)
-    v[goal_flat] = 0.0
-    backup = rew + qtable.discount * np.where(term, 0.0, v[nxt])
-    backup[goal_flat, :] = 0.0
+    tables = _transition_tables(grid, rewards, qtable.goal)
+    backup = _backup(qtable.values, tables, grid.flat_index(qtable.goal), qtable.discount)
     return float(np.abs(backup - qtable.values).max())
 
 
@@ -219,49 +220,39 @@ def train(
 ) -> tuple[QTable, TrainingCurve]:
     """Epsilon-greedy tabular Q-learning; bit-reproducible given the seed.
 
-    Terminal transitions do not bootstrap (target = r), which pins the
-    value of goal-adjacent moves to exactly the goal reward.
+    Steps read the same transition tables as ``value_iteration``, indexed by
+    flat state. Terminal transitions do not bootstrap (target = r), which
+    pins the value of goal-adjacent moves to exactly the goal reward.
     """
     grid.check(goal)
+    nxt, rew, term = (t.tolist() for t in _transition_tables(grid, rewards, goal))
     rng = np.random.default_rng(cfg.rng_seed)
-    n = grid.n_landmarks
-    q = np.zeros((n, len(Action)))
-    goal_flat = grid.flat_index(goal)
+    q = np.zeros((grid.n_landmarks, len(Action)))
     curve = TrainingCurve()
     alpha, gamma = cfg.learning_rate, cfg.discount
 
     for episode in range(cfg.episodes):
         epsilon = cfg.epsilon_at(episode)
-        state = random_start(grid, goal, rng)
+        s = grid.flat_index(random_start(grid, goal, rng))
         total = 0.0
         steps = 0
         while steps < cfg.max_episode_steps:
-            s = grid.flat_index(state)
             if rng.random() < epsilon:
-                action = Action(int(rng.integers(len(Action))))
+                a = int(rng.integers(len(Action)))
             else:
-                action = Action(int(np.argmax(q[s])))
-            t = step(grid, rewards, state, action, goal)
-            s2 = grid.flat_index(t.next_state)
-            target = t.reward if t.terminal else t.reward + gamma * q[s2].max()
-            q[s, action] += alpha * (target - q[s, action])
-            total += t.reward
+                a = int(np.argmax(q[s]))
+            s2, r = nxt[s][a], rew[s][a]
+            target = r if term[s][a] else r + gamma * q[s2].max()
+            q[s, a] += alpha * (target - q[s, a])
+            total += r
             steps += 1
-            state = t.next_state
-            if t.terminal:
+            if term[s][a]:
                 break
+            s = s2
         curve.points.append(CurvePoint(episode, total, steps, epsilon))
 
-    q[goal_flat, :] = 0.0  # untouched by updates, pinned for the invariant
+    q[grid.flat_index(goal), :] = 0.0  # untouched by updates, pinned for the invariant
     return QTable(values=q, goal=goal, discount=gamma), curve
-
-
-@dataclass(frozen=True)
-class EvalEpisode:
-    start: LandmarkId
-    steps: int
-    reward: float
-    reached_goal: bool
 
 
 @dataclass
@@ -269,7 +260,7 @@ class EvalSummary:
     mean_steps: float
     success_rate: float
     mean_reward: float
-    episodes: list[EvalEpisode]
+    episodes: list[EpisodeLog]  # the rollouts, in draw order
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -277,7 +268,7 @@ class EvalSummary:
             writer.writerow(["episode", "start_col", "start_row", "steps", "reward", "reached_goal"])
             for i, e in enumerate(self.episodes):
                 writer.writerow([
-                    i, e.start.col, e.start.row, e.steps, f"{e.reward:.6f}", int(e.reached_goal),
+                    i, e.start.col, e.start.row, e.steps, f"{e.cumulative_reward:.6f}", int(e.reached_goal),
                 ])
 
 
@@ -289,7 +280,7 @@ def rollout(
     max_episode_steps: int = TrainConfig.max_episode_steps,
 ) -> EpisodeLog:
     """Follow the greedy policy from ``start``; truncates on cycles."""
-    log = EpisodeLog(start=start, goal=policy.goal)
+    log = EpisodeLog(start=start)
     state = start
     while state != policy.goal and log.steps < max_episode_steps:
         t = step(grid, rewards, state, policy.action_at(state), policy.goal)
@@ -314,22 +305,21 @@ def evaluate(
     if episodes < 1:
         raise ValueError("evaluation needs at least one episode")
     rng = np.random.default_rng(rng_seed)
-    records = []
-    for _ in range(episodes):
-        start = random_start(grid, policy.goal, rng)
-        log = rollout(grid, rewards, policy, start, max_episode_steps)
-        records.append(EvalEpisode(start, log.steps, log.cumulative_reward, log.reached_goal))
+    logs = [
+        rollout(grid, rewards, policy, random_start(grid, policy.goal, rng), max_episode_steps)
+        for _ in range(episodes)
+    ]
     return EvalSummary(
-        mean_steps=float(np.mean([e.steps for e in records])),
-        success_rate=float(np.mean([e.reached_goal for e in records])),
-        mean_reward=float(np.mean([e.reward for e in records])),
-        episodes=records,
+        mean_steps=float(np.mean([e.steps for e in logs])),
+        success_rate=float(np.mean([e.reached_goal for e in logs])),
+        mean_reward=float(np.mean([e.cumulative_reward for e in logs])),
+        episodes=logs,
     )
 
 
 def enumerated_mean_manhattan(grid: GridSpec, goal: LandmarkId) -> float:
     """Exact mean shortest-path length over the uniform non-goal starts."""
-    dists = [manhattan(lid, goal) for lid in grid.all_landmarks() if lid != goal]
+    dists = [manhattan(lid, goal) for lid in _starts(grid, goal)]
     return float(np.mean(dists))
 
 
@@ -337,20 +327,16 @@ def optimal_expected_reward(grid: GridSpec, rewards: RewardSpec, goal: LandmarkI
     """Exact expected per-episode reward of a shortest-path policy under the
     uniform start distribution: reaching the goal in d steps earns
     goal_reward + (d-1) * step_penalty."""
+    starts = _starts(grid, goal)
     total = 0.0
-    count = 0
-    for lid in grid.all_landmarks():
-        if lid == goal:
-            continue
-        d = manhattan(lid, goal)
-        total += rewards.goal_reward + (d - 1) * rewards.step_penalty
-        count += 1
-    return total / count
+    for lid in starts:
+        total += rewards.goal_reward + (manhattan(lid, goal) - 1) * rewards.step_penalty
+    return total / len(starts)
 
 
 def oracle_agreement(policy: PolicyTable, oracle: QTable, grid: GridSpec, tol: float = 1e-9) -> float:
     """Fraction of non-goal states whose greedy action is oracle-optimal."""
-    states = [lid for lid in grid.all_landmarks() if lid != policy.goal]
+    states = _starts(grid, policy.goal)
     hits = sum(
         policy.action_at(lid) in oracle.optimal_actions(grid, lid, tol) for lid in states
     )
@@ -403,6 +389,8 @@ def load_policy(path) -> PolicyTable:
     except (KeyError, ValueError) as exc:
         raise PolicyFormatError(f"{path}: line 1: bad header fields: {exc}") from None
 
+    if not (0 <= goal_col < cols and 0 <= goal_row < rows):
+        raise PolicyFormatError(f"{path}: line 1: goal ({goal_col},{goal_row}) outside {cols}x{rows}")
     goal = LandmarkId(goal_col, goal_row)
     best: dict[LandmarkId, Action] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -420,20 +408,21 @@ def load_policy(path) -> PolicyTable:
         if not (0 <= col < cols and 0 <= row < rows):
             raise PolicyFormatError(f"{path}: line {lineno}: landmark ({col},{row}) outside {cols}x{rows}")
         lid = LandmarkId(col, row)
+        if lid == goal:
+            raise PolicyFormatError(f"{path}: line {lineno}: entry for the goal ({col},{row})")
         if lid in best:
             raise PolicyFormatError(f"{path}: line {lineno}: duplicate entry for ({col},{row})")
         best[lid] = action
 
-    expected = cols * rows - 1
-    if len(best) != expected:
-        missing = [
-            f"({lid.col},{lid.row})"
-            for row in range(rows)
-            for col in range(cols)
-            if (lid := LandmarkId(col, row)) != goal and lid not in best
-        ]
+    missing = [
+        f"({col},{row})"
+        for row in range(rows)
+        for col in range(cols)
+        if (lid := LandmarkId(col, row)) != goal and lid not in best
+    ]
+    if missing:
         raise PolicyFormatError(
-            f"{path}: incomplete policy: {len(best)}/{expected} landmarks, "
+            f"{path}: incomplete policy: {len(best)}/{cols * rows - 1} landmarks, "
             f"missing {', '.join(missing[:5])}"
         )
     return PolicyTable(best_action=best, goal=goal, cols=cols, rows=rows)

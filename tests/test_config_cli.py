@@ -1,3 +1,4 @@
+import csv
 from dataclasses import fields
 
 import pytest
@@ -5,11 +6,11 @@ import pytest
 from uasnav.cli import main
 from uasnav.config import load_config, parse_overrides, write_reference_config
 from uasnav.errors import ConfigError
-from uasnav.grid import GridSpec, LandmarkId, RewardSpec
+from uasnav.grid import Action, GridSpec, LandmarkId, RewardSpec
 from uasnav.imagery import PerturbationSpec, WorldSpec, landmark_descriptor_image
 from uasnav.matching import MatchParams
 from uasnav.navigator import MissionConfig
-from uasnav.policy import TrainConfig, save_policy
+from uasnav.policy import PolicyTable, TrainConfig, save_policy
 from uasnav.raster import read_pnm, write_pnm
 
 
@@ -144,6 +145,36 @@ class TestCliTrainEval:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "episode,step,state_col,state_row,action,reward,next_col,next_row,terminal"
         assert len(lines) > 100  # 100 episodes, at least one transition each
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_eval_rows_match_transitions(self, outdir, tmp_path, capsys, cyclic):
+        argv = ["eval", "--set", f"run.output_dir={tmp_path}", "--transitions", str(tmp_path / "t.csv")]
+        if cyclic:
+            # every cell moves east, the east column north: starts east of
+            # the goal column never reach it and truncate at 30 steps
+            best = {
+                LandmarkId(c, r): Action.FORWARD if c == 9 else Action.RIGHT
+                for r in range(10) for c in range(10) if (c, r) != (5, 5)
+            }
+            save_policy(PolicyTable(best, LandmarkId(5, 5), 10, 10), tmp_path / "cyclic.txt")
+            argv += ["--policy", str(tmp_path / "cyclic.txt"), "--set", "grid.max_episode_steps=30"]
+        else:
+            argv += ["--policy", str(outdir / "policy.txt")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with open(tmp_path / "eval.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "t.csv", newline="") as fh:
+            transitions = list(csv.DictReader(fh))
+        assert len(rows) == 100
+        assert {t["episode"] for t in transitions} == {r["episode"] for r in rows}
+        for row in rows:
+            steps = [t for t in transitions if t["episode"] == row["episode"]]
+            assert len(steps) == int(row["steps"])
+            assert (steps[0]["state_col"], steps[0]["state_row"]) == (row["start_col"], row["start_row"])
+            assert sum(float(t["reward"]) for t in steps) == pytest.approx(float(row["reward"]), abs=1e-6)
+            assert steps[-1]["terminal"] == row["reached_goal"]
+        assert any(r["reached_goal"] == "0" for r in rows) == cyclic
 
     def test_eval_missing_policy_is_runtime_error(self, tmp_path, capsys):
         code = main(["eval", "--set", f"run.output_dir={tmp_path}"])

@@ -13,8 +13,8 @@ from uasnav.imagery import (
     Pose,
     WorldSpec,
     build_world,
+    check_world_coverage,
     half_window_m,
-    ingest_world,
     landmark_descriptor_image,
     render_observation,
     required_world_bounds,
@@ -54,11 +54,11 @@ class TestBuildWorld:
         small = RasterImage(np.zeros((100, 100, 3), dtype=np.uint8))
         reg = GeoRegistration(gsd=0.25, origin=(-100.0, 350.0))
         with pytest.raises(CoverageError):
-            ingest_world(small, reg, grid)
+            check_world_coverage(small, reg, grid)
 
     def test_ingest_accepts_valid_world(self, world_and_reg, grid):
         world, reg = world_and_reg
-        assert ingest_world(world, reg, grid) == (world, reg)
+        check_world_coverage(world, reg, grid)
 
 
 class TestDescriptorImage:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uasnav import matching
+from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
 from uasnav.grid import Action, LandmarkId, landmark_position, manhattan
 from uasnav.imagery import PerturbationSpec
@@ -150,6 +150,31 @@ class TestMission:
         assert log.outcome == MissionOutcome.REACHED_GOAL
         assert len(log.arrivals) == 1 and log.arrivals[0].confirmed
         assert len(calls) == sum(r.attempted for r in log.records)
+
+    def test_arrival_ranking_uses_the_attempt_seed(
+        self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
+    ):
+        # a rival is fitted with the RANSAC seed of the attempt whose match
+        # of the target it is ranked against
+        world, reg = world_and_reg
+        match_seeds, rank_seeds = [], []
+        match_images, target_ranks_first = navigator.match_images, navigator.target_ranks_first
+
+        def recording_match(obs, train, params, *args, **kwargs):
+            match_seeds.append(params.rng_seed)
+            return match_images(obs, train, params, *args, **kwargs)
+
+        def recording_rank(obs, res, candidates, lookup, params, gsd):
+            rank_seeds.append(params.rng_seed)
+            return target_ranks_first(obs, res, candidates, lookup, params, gsd)
+
+        monkeypatch.setattr(navigator, "match_images", recording_match)
+        monkeypatch.setattr(navigator, "target_ranks_first", recording_rank)
+        cfg = MissionConfig(start=LandmarkId(5, 4), goal=goal, policy=optimal_policy)
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        assert rank_seeds == match_seeds[-1:]
+        assert rank_seeds[0] != cfg.match_params.rng_seed
 
     def test_arrival_count_equals_manhattan(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
@@ -297,7 +322,3 @@ class TestExport:
         assert "data:image/png;base64," in text
         assert "polyline" in text
         assert "goal (reached_goal)" in text
-
-    def test_svg_needs_world_context(self, mission_log, tmp_path):
-        with pytest.raises(ValueError):
-            export_trajectory(mission_log, tmp_path / "m.csv", tmp_path / "m.svg")

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from uasnav.errors import PolicyFormatError
-from uasnav.grid import Action, LandmarkId, manhattan, random_start
+from uasnav.grid import Action, LandmarkId, manhattan, random_start, step
 from uasnav.policy import (
+    PolicyTable,
     TrainConfig,
     bellman_residual,
     enumerated_mean_manhattan,
@@ -17,6 +20,37 @@ from uasnav.policy import (
     train,
     value_iteration,
 )
+
+PHASE1_DIGEST = "73efd014e1738904836b7f03589fd19f9e5cfdb18a1230b1fab795ba2050886e"
+
+
+def _reference_train(grid, rewards, goal, cfg):
+    """Q-learning stepping through ``grid.step``: the reference for the
+    table-driven ``train``, with the same draws in the same order."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    q = np.zeros((grid.n_landmarks, len(Action)))
+    curve = []
+    for episode in range(cfg.episodes):
+        epsilon = cfg.epsilon_at(episode)
+        state = random_start(grid, goal, rng)
+        total, steps = 0.0, 0
+        while steps < cfg.max_episode_steps:
+            s = grid.flat_index(state)
+            if rng.random() < epsilon:
+                action = Action(int(rng.integers(len(Action))))
+            else:
+                action = Action(int(np.argmax(q[s])))
+            t = step(grid, rewards, state, action, goal)
+            target = t.reward if t.terminal else t.reward + cfg.discount * q[grid.flat_index(t.next_state)].max()
+            q[s, action] += cfg.learning_rate * (target - q[s, action])
+            total += t.reward
+            steps += 1
+            state = t.next_state
+            if t.terminal:
+                break
+        curve.append((episode, total, steps, epsilon))
+    q[grid.flat_index(goal), :] = 0.0
+    return q, curve
 
 
 class TestValueIteration:
@@ -104,6 +138,31 @@ class TestTraining:
         assert cfg.epsilon_at(150) == pytest.approx(0.05)
         assert cfg.epsilon_at(1000) == 0.05
 
+    @pytest.mark.parametrize("goal_cell, seed, episodes", [((5, 5), 17, 400), ((0, 9), 4, 300), ((7, 2), 11, 777)])
+    def test_matches_step_reference(self, grid, rewards, goal_cell, seed, episodes):
+        goal = LandmarkId(*goal_cell)
+        cfg = TrainConfig(episodes=episodes, rng_seed=seed, max_episode_steps=60)
+        q, curve = train(grid, rewards, goal, cfg)
+        ref_q, ref_curve = _reference_train(grid, rewards, goal, cfg)
+        assert q.values.tobytes() == ref_q.tobytes()
+        assert [(p.episode, p.reward, p.steps, p.epsilon) for p in curve.points] == ref_curve
+
+    def test_reference_run_matches_pinned_digest(self, grid, rewards, goal):
+        # Q-table bytes, every curve row and the seed-23 evaluation rows of
+        # the reference run, at full float precision; a change of any Phase-1
+        # number must re-pin this digest on purpose
+        q, curve = train(grid, rewards, goal, TrainConfig())
+        summary = evaluate(grid, rewards, greedy_policy(q, grid), episodes=100, rng_seed=23)
+        h = hashlib.sha256(q.values.tobytes())
+        for p in curve.points:
+            h.update(f"{p.episode},{float(p.reward).hex()},{p.steps},{float(p.epsilon).hex()}\n".encode())
+        for e in summary.episodes:
+            h.update(
+                f"{e.start.col},{e.start.row},{e.steps},{e.cumulative_reward.hex()},"
+                f"{int(e.reached_goal)}\n".encode()
+            )
+        assert h.hexdigest() == PHASE1_DIGEST
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
@@ -141,6 +200,12 @@ class TestEvaluate:
         assert summary.success_rate < 1.0
         failed = [e for e in summary.episodes if not e.reached_goal]
         assert failed and all(e.steps == 80 for e in failed)
+
+    def test_episodes_are_the_rollouts(self, grid, rewards, goal, optimal_policy):
+        summary = evaluate(grid, rewards, optimal_policy, episodes=30, rng_seed=4)
+        rng = np.random.default_rng(4)
+        for log in summary.episodes:
+            assert log == rollout(grid, rewards, optimal_policy, random_start(grid, goal, rng))
 
     def test_zero_episodes_rejected(self, grid, rewards, optimal_policy):
         with pytest.raises(ValueError, match="at least one episode"):
@@ -183,9 +248,9 @@ class TestPolicyFile:
         path = tmp_path / "policy.txt"
         save_policy(optimal_policy, path)
         lines = path.read_text().splitlines()
-        del lines[10]
+        del lines[10]  # (9,0)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PolicyFormatError, match="incomplete"):
+        with pytest.raises(PolicyFormatError, match=r"incomplete policy: 98/99 landmarks, missing \(9,0\)$"):
             load_policy(path)
 
     def test_version_mismatch(self, optimal_policy, tmp_path):
@@ -202,3 +267,32 @@ class TestPolicyFile:
         path.write_text("hello\nworld\n")
         with pytest.raises(PolicyFormatError):
             load_policy(path)
+
+    @pytest.mark.parametrize("goal_field", ["12,5", "5,10", "-1,5"])
+    def test_goal_outside_grid_rejected(self, optimal_policy, tmp_path, goal_field):
+        # cols*rows-1 entries: (0,0) is dropped so that only the goal check
+        # can reject the file
+        path = tmp_path / "policy.txt"
+        save_policy(optimal_policy, path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace("goal=5,5", f"goal={goal_field}")
+        lines = [ln for ln in lines if not ln.startswith("0,0,")] + ["5,5,forward"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PolicyFormatError, match="line 1: goal"):
+            load_policy(path)
+
+    def test_goal_entry_rejected(self, optimal_policy, tmp_path):
+        # an entry at the goal in place of a missing cell keeps the count right
+        path = tmp_path / "policy.txt"
+        save_policy(optimal_policy, path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("0,0,")]
+        path.write_text("\n".join(lines + ["5,5,forward"]) + "\n")
+        with pytest.raises(PolicyFormatError, match=f"line {len(lines) + 1}: entry for the goal"):
+            load_policy(path)
+
+    def test_small_grid_round_trip(self, tmp_path):
+        best = {LandmarkId(c, r): Action.RIGHT for r in range(2) for c in range(3) if (c, r) != (2, 1)}
+        policy = PolicyTable(best_action=best, goal=LandmarkId(2, 1), cols=3, rows=2)
+        path = tmp_path / "policy.txt"
+        save_policy(policy, path)
+        assert load_policy(path) == policy
