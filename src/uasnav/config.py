@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import BoundsError, ConfigError
 from .grid import GridSpec, LandmarkId, RewardSpec
 from .imagery import PerturbationSpec, WorldSpec
 from .matching import MatchParams
@@ -148,11 +148,15 @@ class RunConfig:
         g = self.values["grid"]
         return self._build("grid", GridSpec, origin=(g["origin_x_m"], g["origin_y_m"]))
 
+    def _landmark(self, section: str, name: str) -> LandmarkId:
+        s = self.values[section]
+        try:
+            return self.grid_spec().check(LandmarkId(s[f"{name}_col"], s[f"{name}_row"]))
+        except BoundsError as exc:
+            raise ConfigError(f"[{section}] {name}_col, {name}_row: {exc}") from None
+
     def goal(self) -> LandmarkId:
-        g = self.values["grid"]
-        lid = LandmarkId(g["goal_col"], g["goal_row"])
-        self.grid_spec().check(lid)
-        return lid
+        return self._landmark("grid", "goal")
 
     def reward_spec(self) -> RewardSpec:
         return self._build("rewards", RewardSpec)
@@ -178,10 +182,7 @@ class RunConfig:
         return self._build("mission", PerturbationSpec, rng_seed=m["seed"])
 
     def mission_start(self) -> LandmarkId:
-        m = self.values["mission"]
-        lid = LandmarkId(m["start_col"], m["start_row"])
-        self.grid_spec().check(lid)
-        return lid
+        return self._landmark("mission", "start")
 
     def mission_config(self, policy: PolicyTable) -> MissionConfig:
         return self._build(

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import CoverageError
 from .grid import GridSpec, LandmarkId, landmark_position
@@ -81,8 +80,11 @@ class WorldSpec:
     margin_y_m: float = 80.0
 
     def __post_init__(self):
-        if self.gsd <= 0:
-            raise ValueError("gsd must be positive")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.gsd) and self.gsd > 0):
+            raise ValueError("gsd must be positive and finite")
+        if not (math.isfinite(self.margin_x_m) and math.isfinite(self.margin_y_m)):
+            raise ValueError("margins must be finite")
 
 
 def half_window_m(gsd: float) -> tuple[float, float]:
@@ -116,15 +118,28 @@ def check_world_coverage(world: RasterImage, reg: GeoRegistration, grid: GridSpe
 
 
 def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell_px: int) -> np.ndarray:
-    """Bilinear value noise in [0, 1] with the given lattice pitch."""
-    h, w = shape
-    coarse = rng.uniform(0.0, 1.0, (h // cell_px + 2, w // cell_px + 2))
-    yy, xx = np.meshgrid(
-        np.arange(h, dtype=np.float64) / cell_px,
-        np.arange(w, dtype=np.float64) / cell_px,
-        indexing="ij",
-    )
-    return map_coordinates(coarse, [yy, xx], order=1, mode="nearest")
+    """Bilinear value noise in [0, 1] with the given lattice pitch: the bits of
+    scipy's ``map_coordinates(coarse, pixel / cell_px, order=1)``, computed
+    separably. As in scipy, an axis's far weight is one minus its near weight,
+    and each sample sums value * y weight * x weight corner by corner. Two spare
+    lattice rows and columns keep the far corner in range: no edge mode applies."""
+    coarse = rng.uniform(0.0, 1.0, (shape[0] // cell_px + 2, shape[1] // cell_px + 2))
+    (y0, wy0, wy1), (x0, wx0, wx1) = (_lattice_weights(n, cell_px) for n in shape)
+    top = coarse[y0] * wy0[:, None]
+    bot = coarse[y0 + 1] * wy1[:, None]
+    out = top[:, x0] * wx0
+    out += top[:, x0 + 1] * wx1
+    out += bot[:, x0] * wx0
+    out += bot[:, x0 + 1] * wx1
+    return out
+
+
+def _lattice_weights(n: int, cell_px: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice index and near and far weights of pixels ``0..n-1``."""
+    c = np.arange(n, dtype=np.float64) / cell_px
+    i0 = np.floor(c)
+    w0 = 1.0 - (c - i0)
+    return i0.astype(np.intp), w0, 1.0 - w0
 
 
 def _paint_parcels(rng: np.random.Generator, gray: np.ndarray) -> None:
@@ -188,14 +203,13 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
         gray += amp * (2.0 * _value_noise(rng, gray.shape, cell) - 1.0)
     _paint_parcels(rng, gray)
     _paint_roads(rng, gray)
-    gray += rng.integers(-8, 9, gray.shape).astype(np.float64)
-    gray = np.clip(gray, 8.0, 247.0)
+    gray += rng.integers(-8, 9, gray.shape)
+    np.clip(gray, 8.0, 247.0, out=gray)
 
-    rgb = np.empty((height, width, 3))
+    pixels = np.empty((height, width, 3), dtype=np.uint8)
     for ch, (lo, hi) in enumerate(((0.88, 1.10), (0.92, 1.12), (0.82, 1.04))):
-        tint = lo + (hi - lo) * _value_noise(rng, gray.shape, 192)
-        rgb[:, :, ch] = gray * tint
-    pixels = np.rint(np.clip(rgb, 0.0, 255.0)).astype(np.uint8)
+        tint = gray * (lo + (hi - lo) * _value_noise(rng, gray.shape, 192))
+        pixels[:, :, ch] = np.rint(np.clip(tint, 0.0, 255.0, out=tint), out=tint)
 
     world = RasterImage(pixels=pixels)
     check_world_coverage(world, reg, grid)

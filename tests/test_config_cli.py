@@ -89,7 +89,7 @@ class TestConfig:
     def test_goal_inside_grid(self, tmp_path):
         p = tmp_path / "run.ini"
         p.write_text("[grid]\ngoal_col = 99\n")
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="goal_col"):
             load_config(p).goal()
 
 
@@ -201,6 +201,15 @@ class TestCliTrainEval:
         assert last.startswith("status=error code=2")
         assert "eval_episodes" in last
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("col", ["99", "-1"])
+    def test_off_grid_goal_exits_2(self, tmp_path, capsys, col):
+        code = main(["train", "--set", f"run.output_dir={tmp_path}", "--set", f"grid.goal_col={col}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        last = captured.out.strip().splitlines()[-1]
+        assert last.startswith("status=error code=2")
+        assert "goal_col" in last
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         code = main(["train", "--set", f"run.output_dir={tmp_path}", "--set", "train.alpha=0.5"])
@@ -381,6 +390,14 @@ class TestCliBuildEnvAndFly:
         assert code == 2
         assert last.startswith("status=error code=2")
         assert override.split("=")[0].split(".")[1] in last
+
+    @pytest.mark.parametrize("col", ["10", "-1"])
+    def test_fly_off_grid_start_exits_2(self, built, tmp_path, optimal_policy, capsys, col):
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, f"mission.start_col={col}")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "start_col" in last
 
     def test_fly_too_few_ticks_is_runtime_error(self, built, tmp_path, optimal_policy, capsys):
         code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.max_ticks=10")

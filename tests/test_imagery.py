@@ -1,8 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import map_coordinates
 
 from uasnav.errors import CoverageError
 from uasnav.grid import GridSpec, LandmarkId, landmark_position
@@ -12,6 +15,7 @@ from uasnav.imagery import (
     PerturbationSpec,
     Pose,
     WorldSpec,
+    _value_noise,
     build_world,
     check_world_coverage,
     half_window_m,
@@ -23,7 +27,74 @@ from uasnav.matching import detect_keypoints
 from uasnav.raster import GeoRegistration, RasterImage, to_gray
 
 
+# sha256 of the default world's pixel bytes, as built by the scipy
+# map_coordinates synthesis that the separable kernel replaced
+DEFAULT_WORLD_SHA256 = "36575ac8ecb488638589bbfca1b563ccdf352bf854728fbff61e7f0c8a6092ff"
+
+
+def _reference_value_noise(rng, shape, cell_px):
+    """The earlier ``_value_noise``: full-raster coordinate grids through
+    scipy's order-1 ``map_coordinates``."""
+    h, w = shape
+    coarse = rng.uniform(0.0, 1.0, (h // cell_px + 2, w // cell_px + 2))
+    yy, xx = np.meshgrid(
+        np.arange(h, dtype=np.float64) / cell_px,
+        np.arange(w, dtype=np.float64) / cell_px,
+        indexing="ij",
+    )
+    return map_coordinates(coarse, [yy, xx], order=1, mode="nearest")
+
+
 class TestBuildWorld:
+    def test_default_world_bytes_are_pinned(self, world_and_reg):
+        world, _ = world_and_reg
+        assert world.pixels.shape == (1720, 2240, 3)
+        assert hashlib.sha256(world.pixels.tobytes()).hexdigest() == DEFAULT_WORLD_SHA256
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+        cell_px=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_noise_is_bit_identical_to_reference(self, shape, cell_px, seed):
+        got = _value_noise(np.random.default_rng(seed), shape, cell_px)
+        ref = _reference_value_noise(np.random.default_rng(seed), shape, cell_px)
+        assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape == shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_value_noise_draws_like_reference(self):
+        # both kernels leave the generator in the same state for the next draw
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        _value_noise(a, (50, 70), 16)
+        _reference_value_noise(b, (50, 70), 16)
+        assert a.random() == b.random()
+
+    def test_traced_peak_is_at_most_seven_planes(self, grid):
+        # the scipy synthesis peaked at 10.5 float64 world planes
+        tracemalloc.start()
+        try:
+            world, _ = build_world(grid, WorldSpec())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * world.width * world.height * 8
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gsd", math.nan),
+            ("gsd", math.inf),
+            ("margin_x_m", math.nan),
+            ("margin_x_m", math.inf),
+            ("margin_y_m", math.nan),
+            ("margin_y_m", -math.inf),
+        ],
+    )
+    def test_non_finite_world_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match="gsd" if field == "gsd" else "margins"):
+            WorldSpec(**{field: value})
+
     def test_extent_covers_grid_plus_half_window(self, world_and_reg, grid):
         world, reg = world_and_reg
         # derived bound: (360 + 160 m) x (270 + 120 m) at 0.25 m/px
