@@ -27,6 +27,7 @@ from .raster import (
     RasterImage,
     read_pnm,
     read_sidecar,
+    to_gray,
     write_pnm,
     write_sidecar,
 )
@@ -186,8 +187,8 @@ def cmd_match(args) -> int:
     gsd = cfg.world_spec().gsd
     obs_img = read_pnm(args.obs)
     train_img = read_pnm(args.landmark)
-    obs_set = matching.build_descriptor_set(obs_img, params)
-    train_set = matching.build_descriptor_set(train_img, params)
+    obs_set = matching.build_descriptor_set(to_gray(obs_img), params)
+    train_set = matching.build_descriptor_set(to_gray(train_img), params)
     result = matching.match_images(obs_set, train_set, params, gsd=gsd)
     if result.affine is not None:
         aff = " ".join(f"{v:.6f}" for v in result.affine.matrix.reshape(-1))

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import ConfigError, CoverageError
 from .grid import GridSpec, LandmarkId, landmark_position
-from .raster import GeoRegistration, RasterImage
+from .raster import GeoRegistration, RasterImage, to_gray
 
 OBS_WIDTH = 640
 OBS_HEIGHT = 480
+# synthetic world area bound, 13x the default world; the build peaks near
+# 5.4 float64 world planes, some 2.2 GB at this bound
+MAX_WORLD_PIXELS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -190,8 +193,12 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
             f"observation half-window ({half_w}, {half_h}) m"
         )
     ex, ey = grid.extent
-    width = int(math.ceil((ex + 2 * spec.margin_x_m) / spec.gsd))
-    height = int(math.ceil((ey + 2 * spec.margin_y_m) / spec.gsd))
+    width_px, height_px = (ex + 2 * spec.margin_x_m) / spec.gsd, (ey + 2 * spec.margin_y_m) / spec.gsd
+    if width_px * height_px > MAX_WORLD_PIXELS:  # also when a side overflows to inf
+        raise ConfigError(
+            f"a {width_px:.3g}x{height_px:.3g} px world exceeds the {MAX_WORLD_PIXELS:,} px bound"
+        )
+    width, height = math.ceil(width_px), math.ceil(height_px)
     reg = GeoRegistration(
         gsd=spec.gsd,
         origin=(grid.origin[0] - spec.margin_x_m, grid.origin[1] + ey + spec.margin_y_m),
@@ -249,23 +256,24 @@ def _obs_grid() -> tuple[np.ndarray, np.ndarray]:
     return _OBS_GRID
 
 
-def _bilinear_planes(pixels: np.ndarray, px: np.ndarray, py: np.ndarray) -> list[np.ndarray]:
-    """Bilinear lookup, one float32 plane per channel; callers must have
-    bounds-checked the coordinates.
+def _bilinear(world: RasterImage, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Bilinear lookup of the world's luminance at ``(px, py)`` as a float32
+    plane; callers must have bounds-checked the coordinates.
 
-    Each channel of the footprint's bounding window is copied into a
-    contiguous float32 plane with a zero tail, and the four corners are
-    read at flat offsets 0, 1, ``ww`` and ``ww + 1`` from one window-local
-    index. A read past the window's last column or row (the next row's
-    first pixel, or the tail) happens only for a sample on the raster's
-    last column or row, whose weight there is exactly 0, so it adds +0 as
-    a read clamped to the edge would. Exact-integer coordinates reproduce
-    source bytes (their weights are exactly 0/1).
+    The footprint's bounding window is cut from the world once, converted
+    by ``to_gray`` into a contiguous float32 plane with a zero tail, and the
+    four corners are read at flat offsets 0, 1, ``ww`` and ``ww + 1`` from
+    one window-local index. A read past the window's last column or row
+    (the next row's first pixel, or the tail) happens only for a sample on
+    the raster's last column or row, whose weight there is exactly 0, so it
+    adds +0 as a read clamped to the edge would. Exact-integer coordinates
+    reproduce the window's luminance (their weights are exactly 0/1).
     """
-    h, w = pixels.shape[:2]
     xa, ya = int(px.min()), int(py.min())
-    window = pixels[ya:min(int(py.max()) + 2, h), xa:min(int(px.max()) + 2, w)]
+    window = world.pixels[ya:min(int(py.max()) + 2, world.height), xa:min(int(px.max()) + 2, world.width)]
     wh, ww = window.shape[:2]
+    flat = np.zeros(wh * ww + ww + 1, dtype=np.float32)
+    flat[:wh * ww].reshape(wh, ww)[...] = to_gray(RasterImage(pixels=window))
     x0f = np.floor(px)
     y0f = np.floor(py)
     fx = (px - x0f).astype(np.float32)
@@ -273,28 +281,18 @@ def _bilinear_planes(pixels: np.ndarray, px: np.ndarray, py: np.ndarray) -> list
     gx = 1.0 - fx
     gy = 1.0 - fy
     i00 = (y0f.astype(np.intp) - ya) * ww + (x0f.astype(np.intp) - xa)
-    flat = np.zeros(wh * ww + ww + 1, dtype=np.float32)
-    planes = []
-    for ch in _channels(window):
-        flat[:wh * ww].reshape(wh, ww)[...] = ch
-        # top = p00 * gx + p01 * fx, bot likewise, out = top * gy + bot * fy,
-        # evaluated in place
-        top = np.take(flat, i00)
-        top *= gx
-        top += np.take(flat[1:], i00) * fx
-        bot = np.take(flat[ww:], i00)
-        bot *= gx
-        bot += np.take(flat[ww + 1:], i00) * fx
-        top *= gy
-        bot *= fy
-        top += bot
-        planes.append(top)
-    return planes
-
-
-def _channels(pixels: np.ndarray) -> list[np.ndarray]:
-    """(h, w) views of each channel of an (h, w) or (h, w, 3) array."""
-    return [pixels] if pixels.ndim == 2 else list(np.moveaxis(pixels, 2, 0))
+    # top = p00 * gx + p01 * fx, bot likewise, out = top * gy + bot * fy,
+    # evaluated in place
+    top = np.take(flat, i00)
+    top *= gx
+    top += np.take(flat[1:], i00) * fx
+    bot = np.take(flat[ww:], i00)
+    bot *= gx
+    bot += np.take(flat[ww + 1:], i00) * fx
+    top *= gy
+    bot *= fy
+    top += bot
+    return top
 
 
 def _pixel_offset(theta: float, px: np.ndarray, py: np.ndarray) -> tuple[int, int] | None:
@@ -313,21 +311,22 @@ def render_observation(
     pose: Pose,
     perturb: PerturbationSpec = PerturbationSpec(),
     rng: np.random.Generator | None = None,
-) -> RasterImage:
-    """Simulated nadir camera frame at a world pose.
+) -> np.ndarray:
+    """Simulated nadir camera frame at a world pose, as the float32
+    ``(OBS_HEIGHT, OBS_WIDTH)`` luminance plane the matcher reads.
 
     The 640x480 window is centered on the (jittered) position, rotated by
-    heading plus rotation jitter, bilinearly resampled from the world, then
-    intensity-mapped (gain*v + bias, additive Gaussian noise, clamp to
-    [0, 255]). Zero padding is never used: any sample outside the world
+    heading plus rotation jitter, bilinearly resampled from the world's
+    luminance (``to_gray`` of the footprint window), then intensity-mapped
+    (gain*v + bias, additive Gaussian noise, clamp to [0, 255]) without
+    rounding. Zero padding is never used: any sample outside the world
     raises CoverageError. Deterministic given the perturbation seed; pass
     ``rng`` to draw several renders from one stream.
 
     When the samples land exactly on whole pixels (an unrotated view at a
-    whole-pixel offset) the gather is a slice of the world, and with gain
-    1, bias 0 and no noise the frame is a copy of that slice. Every path
-    returns the bytes of the bilinear blend followed by the float64
-    intensity map.
+    whole-pixel offset) the gather is ``to_gray`` of a slice of the world,
+    so with gain 1, bias 0 and no noise the frame equals
+    ``to_gray(landmark_descriptor_image(...))`` cast to float32.
     """
     if rng is None:
         rng = np.random.default_rng(perturb.rng_seed)
@@ -360,26 +359,17 @@ def render_observation(
             f"exceeds the world raster"
         )
 
-    # one Gaussian draw per pixel, shared across channels
-    noise = rng.normal(0.0, perturb.noise_sigma, px.shape) if perturb.noise_sigma > 0.0 else None
     offset = _pixel_offset(theta, px, py)
     if offset is None:
-        planes = _bilinear_planes(world.pixels, px, py)
+        gray = _bilinear(world, px, py)
     else:
         x0, y0 = offset
         window = world.pixels[y0:y0 + OBS_HEIGHT, x0:x0 + OBS_WIDTH]
-        if perturb.gain == 1.0 and perturb.bias == 0.0 and noise is None:
-            return RasterImage(pixels=window.copy())
-        planes = _channels(window)
-
-    out = np.empty((OBS_HEIGHT, OBS_WIDTH) + world.pixels.shape[2:], dtype=np.uint8)
-    for plane, dst in zip(planes, _channels(out)):
-        # gain * v + bias (+ noise), clamped and rounded, evaluated in place
-        values = plane.astype(np.float64)
-        values *= perturb.gain
-        values += perturb.bias
-        if noise is not None:
-            values += noise
-        np.clip(values, 0.0, 255.0, out=values)
-        dst[...] = np.rint(values, out=values)
-    return RasterImage(pixels=out)
+        gray = to_gray(RasterImage(pixels=window)).astype(np.float32)
+    # gain * v + bias (+ noise), clamped, evaluated in place; the identity
+    # map leaves every value as it is
+    gray *= perturb.gain
+    gray += perturb.bias
+    if perturb.noise_sigma > 0.0:
+        gray += rng.normal(0.0, perturb.noise_sigma, gray.shape)
+    return np.clip(gray, 0.0, 255.0, out=gray)

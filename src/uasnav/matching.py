@@ -17,9 +17,10 @@ Everything between the stages is a numpy array:
   two keypoint arrays, in query order;
 - RANSAC input: two ``(m, 2)`` arrays of matched ``x, y`` positions.
 
-``build_descriptor_set`` is the only entry point that takes a raster; it
-converts to a float32 gray plane once and runs detection and description
-on that plane.
+Images enter as 2-D luminance planes: ``render_observation`` returns one,
+and callers holding a ``RasterImage`` pass ``to_gray`` of it.
+``build_descriptor_set`` casts the plane to float32 once and runs
+detection and description on it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import (
     InvalidStateError,
 )
 from .grid import LandmarkId
-from .raster import RasterImage, to_gray
 
 logger = logging.getLogger(__name__)
 
@@ -327,8 +327,10 @@ def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.nd
     return vec, keypoints[sel[has_energy]]
 
 
-def build_descriptor_set(img: RasterImage, params: MatchParams) -> DescriptorSet:
-    gray = to_gray(img).astype(np.float32)
+def build_descriptor_set(gray: np.ndarray, params: MatchParams) -> DescriptorSet:
+    """Keypoints and descriptors of a 2-D luminance plane; ``detect_keypoints``
+    rejects any other shape."""
+    gray = np.asarray(gray, dtype=np.float32)
     kps = detect_keypoints(gray, max_keypoints=params.max_keypoints)
     desc, kept = describe(gray, kps)
     return DescriptorSet(keypoints=kept, descriptors=desc, image_size=(gray.shape[1], gray.shape[0]))

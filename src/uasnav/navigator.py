@@ -32,7 +32,7 @@ from .matching import (
     target_ranks_first,
 )
 from .policy import PolicyTable
-from .raster import GeoRegistration, RasterImage
+from .raster import GeoRegistration, RasterImage, to_gray
 from . import svgplot
 
 
@@ -112,7 +112,7 @@ class LandmarkLibrary:
     def get(self, lid: LandmarkId) -> DescriptorSet:
         if lid not in self._cache:
             crop = landmark_descriptor_image(self.world, self.reg, self.grid, lid)
-            self._cache[lid] = build_descriptor_set(crop, self.params)
+            self._cache[lid] = build_descriptor_set(to_gray(crop), self.params)
         return self._cache[lid]
 
 

@@ -50,7 +50,8 @@ class RasterImage:
 
 
 def to_gray(img: RasterImage) -> np.ndarray:
-    """Float64 luminance plane (Rec. 601 weights for color rasters)."""
+    """Float64 luminance plane (Rec. 601 weights for color rasters): what
+    the matcher reads of any raster, per window for rendered frames."""
     px = img.pixels.astype(np.float64)
     if img.channels == 1:
         return px

@@ -420,6 +420,16 @@ class TestCliBuildEnvAndFly:
         assert (out / "world.ppm").read_bytes() == (built / "world.ppm").read_bytes()
         assert (out / "world.json").read_bytes() == (built / "world.json").read_bytes()
 
+    @pytest.mark.parametrize("gsd", ["1e-9", "0.005"])
+    def test_build_env_rejects_oversized_world(self, tmp_path, capsys, gsd):
+        # both worlds exceed the pixel bound by far; neither is allocated
+        code = main(["build-env", "--set", f"run.output_dir={tmp_path}", "--set", f"imagery.gsd_m_per_px={gsd}"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "px bound" in last
+        assert not (tmp_path / "world.ppm").exists()
+
     def test_ingest_without_sources_is_config_error(self, tmp_path, capsys):
         code = main([
             "build-env",

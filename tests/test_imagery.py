@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
-from uasnav.errors import CoverageError
+from uasnav.errors import ConfigError, CoverageError
 from uasnav.grid import GridSpec, LandmarkId, landmark_position
 from uasnav.imagery import (
+    MAX_WORLD_PIXELS,
     OBS_HEIGHT,
     OBS_WIDTH,
     PerturbationSpec,
@@ -110,6 +111,13 @@ class TestBuildWorld:
         other, _ = build_world(grid, WorldSpec(seed=100))
         assert not np.array_equal(other.pixels, world.pixels)
 
+    @pytest.mark.parametrize("gsd", [1e-310, 0.05])
+    def test_world_over_the_pixel_bound_rejected(self, grid, gsd):
+        # 1e-310 m/px overflows the side lengths to inf; 0.05 m/px is 96 Mpx
+        assert (grid.extent[0] + 200.0) * (grid.extent[1] + 160.0) / 0.05**2 > MAX_WORLD_PIXELS
+        with pytest.raises(ConfigError, match="px bound"):
+            build_world(grid, WorldSpec(gsd=gsd))
+
     def test_margin_smaller_than_half_window_rejected(self, grid):
         with pytest.raises(CoverageError):
             build_world(grid, WorldSpec(margin_x_m=10.0))
@@ -192,9 +200,9 @@ def _reference_bilinear(pixels: np.ndarray, px: np.ndarray, py: np.ndarray) -> n
 
 
 def _reference_render(world, reg, pose, perturb):
-    """render_observation as it was before the planar rewrite: the same
-    draws and coordinates, the interleaved gather, then the intensity map
-    over all channels at once."""
+    """render_observation as it was while it rendered every channel: the
+    same draws and coordinates, the interleaved gather, then the intensity
+    map over all channels at once, rounded to uint8."""
     rng = np.random.default_rng(perturb.rng_seed)
     theta = pose.heading
     if perturb.rotation_jitter > 0.0:
@@ -228,15 +236,33 @@ def gray_world(world_and_reg):
     return RasterImage(np.ascontiguousarray(world.pixels[:, :, 1]))
 
 
-def _assert_matches_reference(world, reg, pose, perturb):
+def _assert_near_reference(world, reg, pose, perturb):
+    """The gray render is within half a gray level of the luminance of the
+    RGB-era reference wherever no reference channel is clipped: the Rec. 601
+    weights sum to 1, so only the reference's per-channel rounding differs."""
     obs = render_observation(world, reg, pose, perturb)
     ref = _reference_render(world, reg, pose, perturb)
-    assert obs.pixels.dtype == ref.dtype and obs.pixels.shape == ref.shape
-    assert np.array_equal(obs.pixels, ref)
-    assert not np.shares_memory(obs.pixels, world.pixels)
+    assert obs.dtype == np.float32 and obs.shape == (OBS_HEIGHT, OBS_WIDTH)
+    inside = (ref > 0) & (ref < 255)
+    unclipped = inside.all(axis=-1) if ref.ndim == 3 else inside
+    error = np.abs(obs - to_gray(RasterImage(ref)))[unclipped]
+    assert error.size == 0 or error.max() <= 0.5 + 1e-3
 
 
 class TestRenderMatchesReference:
+    @pytest.mark.parametrize("gray", [False, True])
+    def test_identity_render_is_gray_of_reference(self, world_and_reg, gray_world, grid, gray):
+        # unrotated, unperturbed and on whole pixels: bit for bit
+        world, reg = world_and_reg
+        w = gray_world if gray else world
+        for cell, (dx, dy) in (((1, 1), (0.0, 0.0)), ((4, 6), (1.25, -0.5)), ((8, 3), (-4.75, 3.0))):
+            x, y = landmark_position(grid, LandmarkId(*cell))
+            pose = Pose(x + dx, y + dy)
+            obs = render_observation(w, reg, pose)
+            ref = _reference_render(w, reg, pose, PerturbationSpec())
+            assert obs.dtype == np.float32 and obs.shape == (OBS_HEIGHT, OBS_WIDTH)
+            assert np.array_equal(obs, to_gray(RasterImage(ref)).astype(np.float32))
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         cell=st.tuples(st.integers(1, 8), st.integers(1, 8)),
@@ -251,7 +277,7 @@ class TestRenderMatchesReference:
         seed=st.integers(0, 2**32 - 1),
         gray=st.booleans(),
     )
-    def test_render_is_byte_identical_to_reference(
+    def test_render_is_within_half_a_level_of_reference(
         self, world_and_reg, gray_world, grid, cell, whole_pixel, offset, heading,
         rotation_jitter, translation_jitter, gain, bias, noise_sigma, seed, gray,
     ):
@@ -264,7 +290,7 @@ class TestRenderMatchesReference:
             gain=gain, bias=bias, noise_sigma=noise_sigma, rotation_jitter=rotation_jitter,
             translation_jitter=translation_jitter, rng_seed=seed,
         )
-        _assert_matches_reference(gray_world if gray else world, reg, Pose(x + dx, y + dy, heading), perturb)
+        _assert_near_reference(gray_world if gray else world, reg, Pose(x + dx, y + dy, heading), perturb)
 
     def test_whole_pixel_render_with_intensity_map(self, world_and_reg, gray_world, grid):
         # unrotated and on whole pixels: the slice path, under a non-identity map
@@ -277,7 +303,7 @@ class TestRenderMatchesReference:
                 PerturbationSpec(bias=-7.0),
                 PerturbationSpec(gain=0.8, bias=12.0, noise_sigma=3.0, rng_seed=5),
             ):
-                _assert_matches_reference(w, reg, Pose(x + 1.25, y - 0.5), perturb)
+                _assert_near_reference(w, reg, Pose(x + 1.25, y - 0.5), perturb)
 
     def test_samples_on_last_column_and_row(self):
         # fractional in one axis, flush with the raster's far edge in the other
@@ -288,7 +314,7 @@ class TestRenderMatchesReference:
         last_y = reg.origin[1] - (pixels.shape[0] - 1 - OBS_HEIGHT / 2 + 1) * reg.gsd
         for world in (RasterImage(pixels), RasterImage(np.ascontiguousarray(pixels[:, :, 0]))):
             for pose in (Pose(last_x, last_y + 0.1), Pose(last_x - 0.1, last_y), Pose(last_x, last_y)):
-                _assert_matches_reference(world, reg, pose, PerturbationSpec(gain=1.1, bias=2.0))
+                _assert_near_reference(world, reg, pose, PerturbationSpec(gain=1.1, bias=2.0))
 
 
 class TestRenderObservation:
@@ -298,7 +324,8 @@ class TestRenderObservation:
             pos = landmark_position(grid, lid)
             obs = render_observation(world, reg, Pose(pos[0], pos[1]))
             crop = landmark_descriptor_image(world, reg, grid, lid)
-            assert np.array_equal(obs.pixels, crop.pixels)
+            assert obs.dtype == np.float32 and obs.shape == (OBS_HEIGHT, OBS_WIDTH)
+            assert np.array_equal(obs, to_gray(crop).astype(np.float32))
 
     def test_gain_bias_pointwise(self, world_and_reg, grid):
         world, reg = world_and_reg
@@ -307,15 +334,15 @@ class TestRenderObservation:
         mapped = render_observation(
             world, reg, Pose(pos[0], pos[1]), PerturbationSpec(gain=1.3, bias=10.0)
         )
-        expected = np.rint(np.clip(1.3 * base.pixels.astype(np.float64) + 10.0, 0, 255))
-        assert np.array_equal(mapped.pixels, expected.astype(np.uint8))
+        # float32 arithmetic, clamped and not rounded
+        assert np.array_equal(mapped, np.clip(1.3 * base + 10.0, 0, 255))
 
     def test_quarter_turn_differs(self, world_and_reg, grid):
         world, reg = world_and_reg
         pos = landmark_position(grid, LandmarkId(5, 5))
         straight = render_observation(world, reg, Pose(pos[0], pos[1], 0.0))
         turned = render_observation(world, reg, Pose(pos[0], pos[1], math.pi / 2))
-        assert not np.array_equal(straight.pixels, turned.pixels)
+        assert not np.array_equal(straight, turned)
 
     def test_render_is_seed_deterministic(self, world_and_reg, grid):
         world, reg = world_and_reg
@@ -326,7 +353,7 @@ class TestRenderObservation:
         )
         a = render_observation(world, reg, Pose(pos[0], pos[1]), perturb)
         b = render_observation(world, reg, Pose(pos[0], pos[1]), perturb)
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a, b)
 
     def test_noise_changes_pixels(self, world_and_reg, grid):
         world, reg = world_and_reg
@@ -335,7 +362,7 @@ class TestRenderObservation:
         noisy = render_observation(
             world, reg, Pose(pos[0], pos[1]), PerturbationSpec(noise_sigma=4.0, rng_seed=1)
         )
-        assert not np.array_equal(clean.pixels, noisy.pixels)
+        assert not np.array_equal(clean, noisy)
 
     def test_footprint_outside_world_rejected(self, world_and_reg):
         world, reg = world_and_reg

@@ -275,11 +275,10 @@ def _rank(obs, candidates, params, gsd):
 
 class TestRankNeighbors:
     def _candidates(self, world, reg, grid, params, lid):
-        cands = [(lid, build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), params))]
-        for nid in neighbors(grid, lid).values():
-            if nid is not None:
-                cands.append((nid, build_descriptor_set(landmark_descriptor_image(world, reg, grid, nid), params)))
-        return cands
+        def dset(n):
+            return build_descriptor_set(to_gray(landmark_descriptor_image(world, reg, grid, n)), params)
+
+        return [(n, dset(n)) for n in [lid, *(n for n in neighbors(grid, lid).values() if n is not None)]]
 
     def test_true_landmark_ranks_first(self, world_and_reg, grid, match_params):
         world, reg = world_and_reg
@@ -293,7 +292,7 @@ class TestRankNeighbors:
     def test_self_match_inlier_ratio(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
         lid = LandmarkId(7, 3)
-        obs = build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), match_params)
+        obs = build_descriptor_set(to_gray(landmark_descriptor_image(world, reg, grid, lid)), match_params)
         ranked = _rank(obs, [(lid, library.get(lid))], match_params, reg.gsd)
         res = ranked[0]
         assert res.inliers / res.n_matches >= 0.9
@@ -305,14 +304,14 @@ class TestRankNeighbors:
         noise = RasterImage(rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
         lid = LandmarkId(5, 5)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
-        ranked = _rank(build_descriptor_set(noise, match_params), cands, match_params, reg.gsd)
+        ranked = _rank(build_descriptor_set(to_gray(noise), match_params), cands, match_params, reg.gsd)
         for res in ranked:
             assert not arrival_check(res, match_params.distance_threshold_m, match_params.min_inliers)
 
     def test_single_candidate(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
         lid = LandmarkId(0, 9)
-        obs = build_descriptor_set(landmark_descriptor_image(world, reg, grid, lid), match_params)
+        obs = build_descriptor_set(to_gray(landmark_descriptor_image(world, reg, grid, lid)), match_params)
         ranked = _rank(obs, [(lid, library.get(lid))], match_params, reg.gsd)
         assert len(ranked) == 1
 
@@ -490,3 +489,12 @@ def test_match_images_reports_raw_and_inlier_counts():
     res = match_images(dset, dset, params, gsd=0.25)
     assert res.n_matches >= res.inliers
     assert res.inlier_mask is not None and len(res.inlier_mask) == res.n_matches
+
+
+def test_build_descriptor_set_takes_only_a_2d_plane(match_params):
+    rng = np.random.default_rng(4)
+    rgb = rng.integers(0, 256, (64, 80, 3), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        build_descriptor_set(rgb, match_params)
+    dset = build_descriptor_set(to_gray(RasterImage(rgb)), match_params)
+    assert dset.image_size == (80, 64)

@@ -225,7 +225,7 @@ def _render(world, reg, grid, cell, offset, perturbed, seed):
         )
     else:
         perturb = PerturbationSpec()
-    return to_gray(render_observation(world, reg, Pose(x + offset[0], y + offset[1]), perturb))
+    return render_observation(world, reg, Pose(x + offset[0], y + offset[1]), perturb)
 
 
 class TestDetectMatchesReference:
