@@ -380,10 +380,10 @@ def estimate_affine_ransac(
     """RANSAC affine fit mapping ``(n, 2)`` points ``src`` onto ``dst``,
     over minimal 3-point solves.
 
-    Hypotheses are the triples of ``_ransac_triples``, scored in seed
-    order in two blocks: the first ``_RANSAC_BLOCK``, then the rest. No
-    hypothesis can have more than ``n`` inliers, so once one has all ``n``
-    the rest are never scored.
+    Hypotheses are the triples ``_ransac_triples`` draws from ``rng_seed``,
+    scored in draw order in two blocks: the first ``_RANSAC_BLOCK``, then
+    the rest. No hypothesis can have more than ``n`` inliers, so once one
+    has all ``n`` the rest are never scored.
     The winner is the model with the most inliers (the earliest iteration
     wins ties), then refit by least squares on its full inlier set. The
     returned mask is re-evaluated under the refit model.
@@ -424,39 +424,16 @@ def estimate_affine_ransac(
 
 
 def _ransac_triples(n: int, count: int, seed: int) -> np.ndarray:
-    """``(count, 3)`` index triples, row ``i`` equal to the ``i``-th of
-    successive ``default_rng(seed).choice(n, 3, replace=False)`` calls,
-    drawn in one pass over the generator's raw stream.
-
-    For three of ``n`` numpy's ``choice`` runs Floyd's algorithm: draws in
-    ``[0, j]`` for ``j = n - 3, n - 2, n - 1`` (none when ``j = 0``), each
-    replaced by ``j`` when already taken, then shuffles the triple with
-    draws in ``[0, 2]`` and ``[0, 1]``. Each draw is Lemire's multiply-shift
-    on one 32-bit half of a 64-bit output, low half first (Lemire 2019),
-    and is rejected, shifting the rest of the stream, when the low product
-    word falls below ``2**32 % (j + 1)``; the chance is below 1.2e-7 per
-    draw for ``n`` up to 500. On any rejection, and for ``n >= 2**32``
-    (where numpy's draw for ``j = n - 1`` is no 32-bit Lemire draw), the
-    triples come from the ``choice`` calls themselves.
-    """
-    if n < 2**32:
-        bounds = [n - 2, n - 1, n, 3, 2][n == 3:]  # j + 1 of each draw
-        raw = np.random.default_rng(seed).bit_generator.random_raw((count * len(bounds) + 1) // 2)
-        words = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).ravel()[:count * len(bounds)]
-        product = words.reshape(count, len(bounds)) * np.array(bounds, dtype=np.uint64)
-        floors = np.array([2**32 % b for b in bounds], dtype=np.uint64)
-        if not np.any((product & 0xFFFFFFFF) < floors):
-            v = (product >> np.uint64(32)).astype(np.intp)
-            a = v[:, 0] if n > 3 else np.zeros(count, dtype=np.intp)
-            b = np.where(v[:, -4] == a, n - 2, v[:, -4])
-            c = np.where((v[:, -3] == a) | (v[:, -3] == b), n - 1, v[:, -3])
-            triples, rows = np.stack([a, b, c], axis=1), np.arange(count)
-            for i, j in ((2, v[:, -2]), (1, v[:, -1])):  # swap slots i and j
-                triples[rows, i], triples[rows, j] = triples[rows, j], triples[rows, i]
-            return triples
-    rng = np.random.default_rng(seed)
-    draws = [rng.choice(n, size=3, replace=False) for _ in range(count)]
-    return np.array(draws, dtype=np.intp).reshape(count, 3)
+    """``(count, 3)`` rows of distinct indices in ``[0, n)``, uniform over
+    ordered triples: one draw below ``n``, ``n - 1`` and ``n - 2`` per row,
+    the second stepped past the first, the third past the smaller and then
+    the larger of those two."""
+    triples = np.random.default_rng(seed).integers(0, [n, n - 1, n - 2], size=(count, 3), dtype=np.intp)
+    a, b, c = triples.T
+    b += b >= a
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return triples
 
 
 def _residuals(src: np.ndarray, dst: np.ndarray, params: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ to a versioned plain-text format consumed by the mission navigator.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,15 +415,15 @@ def load_policy(path) -> PolicyTable:
             raise PolicyFormatError(f"{path}: line {lineno}: duplicate entry for ({col},{row})")
         best[lid] = action
 
-    missing = [
-        f"({col},{row})"
-        for row in range(rows)
-        for col in range(cols)
-        if (lid := LandmarkId(col, row)) != goal and lid not in best
-    ]
-    if missing:
+    if len(best) != cols * rows - 1:
+        missing = (
+            f"({col},{row})"
+            for row in range(rows)
+            for col in range(cols)
+            if (lid := LandmarkId(col, row)) != goal and lid not in best
+        )
         raise PolicyFormatError(
             f"{path}: incomplete policy: {len(best)}/{cols * rows - 1} landmarks, "
-            f"missing {', '.join(missing[:5])}"
+            f"missing {', '.join(itertools.islice(missing, 5))}"
         )
     return PolicyTable(best_action=best, goal=goal, cols=cols, rows=rows)

@@ -9,6 +9,7 @@ pixel (0, 0); both round-trip byte-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,7 @@ class RasterImage:
         px = np.asarray(self.pixels)
         if px.dtype != np.uint8:
             raise ValueError(f"raster pixels must be uint8, got {px.dtype}")
-        if px.ndim == 2:
-            pass
-        elif px.ndim == 3 and px.shape[2] == 3:
-            pass
-        else:
+        if not (px.ndim == 2 or (px.ndim == 3 and px.shape[2] == 3)):
             raise ValueError(f"raster must be (h, w) or (h, w, 3), got shape {px.shape}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("raster must be at least 1x1")
@@ -52,9 +49,9 @@ class RasterImage:
 def to_gray(img: RasterImage) -> np.ndarray:
     """Float64 luminance plane (Rec. 601 weights for color rasters): what
     the matcher reads of any raster, per window for rendered frames."""
-    px = img.pixels.astype(np.float64)
+    px = img.pixels
     if img.channels == 1:
-        return px
+        return px.astype(np.float64)
     return 0.299 * px[:, :, 0] + 0.587 * px[:, :, 1] + 0.114 * px[:, :, 2]
 
 
@@ -70,8 +67,8 @@ class GeoRegistration:
     origin: tuple[float, float]
 
     def __post_init__(self):
-        if self.gsd <= 0:
-            raise ValueError(f"gsd must be positive, got {self.gsd}")
+        if not (0 < self.gsd < math.inf and all(map(math.isfinite, self.origin))):
+            raise ValueError(f"need a finite gsd > 0 and a finite origin, got {self.gsd}, {self.origin}")
 
     def world_to_pixel(self, xy) -> np.ndarray:
         xy = np.asarray(xy, dtype=np.float64)

@@ -1,4 +1,5 @@
 import csv
+import json
 from dataclasses import fields
 
 import pytest
@@ -405,6 +406,19 @@ class TestCliBuildEnvAndFly:
         assert code == 3
         assert last.startswith("status=error code=3")
         assert "max_ticks" in last
+
+    @pytest.mark.parametrize("gsd", ["nan", "inf"])
+    def test_fly_non_finite_sidecar_exits_3(self, built, tmp_path, optimal_policy, capsys, gsd):
+        (tmp_path / "world.ppm").symlink_to(built / "world.ppm")
+        sidecar = json.loads((built / "world.json").read_text())
+        sidecar["gsd_m_per_px"] = float(gsd)
+        (tmp_path / "world.json").write_text(json.dumps(sidecar))
+        save_policy(optimal_policy, tmp_path / "policy.txt")
+        code = main(["fly", "--set", f"run.output_dir={tmp_path}", "--policy", str(tmp_path / "policy.txt")])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 3
+        assert last.startswith("status=error code=3")
+        assert "gsd" in last
 
     def test_ingest_round_trip_is_byte_identical(self, built, tmp_path, capsys):
         out = tmp_path / "reexport"

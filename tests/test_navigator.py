@@ -24,7 +24,7 @@ from uasnav.policy import PolicyTable, greedy_policy, value_iteration
 # SHA-256 of the attempted ticks of the reference mission flown in
 # test_mission_is_deterministic. A change that alters perception numbers
 # on purpose updates this constant and says why.
-GOLDEN_MISSION_DIGEST = "c3a910ae5cf2bda8b085bb9f9c596631b460016f553e295ff27a767edb7beaff"
+GOLDEN_MISSION_DIGEST = "3eb900febc1ee2c53f7c1099f55d017577ae5972e331f3091d719308de8d53fa"
 GOLDEN_START = LandmarkId(5, 3)
 GOLDEN_PERTURBATION = PerturbationSpec(
     gain=1.1, bias=-8.0, noise_sigma=3.0, rotation_jitter=0.05, translation_jitter=2.0, rng_seed=31,

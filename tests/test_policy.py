@@ -253,6 +253,15 @@ class TestPolicyFile:
         with pytest.raises(PolicyFormatError, match=r"incomplete policy: 98/99 landmarks, missing \(9,0\)$"):
             load_policy(path)
 
+    def test_huge_header_is_incomplete_without_walking_the_grid(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("uasnav-policy v1; goal=0,0; cols=100000; rows=100000\n1,0,right\n")
+        with pytest.raises(
+            PolicyFormatError,
+            match=r"incomplete policy: 1/9999999999 landmarks, missing \(2,0\), \(3,0\), \(4,0\), \(5,0\), \(6,0\)$",
+        ):
+            load_policy(path)
+
     def test_version_mismatch(self, optimal_policy, tmp_path):
         path = tmp_path / "policy.txt"
         save_policy(optimal_policy, path)

@@ -86,6 +86,16 @@ def test_to_gray_weights():
     assert g[0, 2] == pytest.approx(0.114 * 255)
 
 
+def test_to_gray_matches_the_float64_copy_formula():
+    rng = np.random.default_rng(3)
+    for shape in ((480, 640, 3), (600, 760, 3), (7, 5, 3), (480, 640), (7, 5)):
+        px = rng.integers(0, 256, shape, dtype=np.uint8)
+        f = px.astype(np.float64)
+        ref = f if f.ndim == 2 else 0.299 * f[:, :, 0] + 0.587 * f[:, :, 1] + 0.114 * f[:, :, 2]
+        got = to_gray(RasterImage(px))
+        assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+
+
 def test_registration_round_trip_property():
     reg = GeoRegistration(gsd=0.25, origin=(-100.0, 350.0))
     rng = np.random.default_rng(3)
@@ -119,3 +129,15 @@ def test_sidecar_errors(tmp_path):
     missing.write_text('{"gsd_m_per_px": 0.25}')
     with pytest.raises(RasterFormatError, match="fields"):
         read_sidecar(missing)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["gsd_m_per_px", "origin_x_m", "origin_y_m"])
+def test_sidecar_non_finite_field_rejected(tmp_path, field, value):
+    path = tmp_path / "world.json"
+    write_sidecar(GeoRegistration(gsd=0.25, origin=(-100.0, 350.0)), path)
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(RasterFormatError, match="finite"):
+        read_sidecar(path)
