@@ -356,3 +356,35 @@ def test_all_inlier_set_stops_after_first_block(monkeypatch):
     assert mask.all()
     assert 1 <= sum(scored) <= 16
 
+
+
+def _choice_calls(n, count, seed):
+    """``count`` triples of ``default_rng(seed)`` drawn without replacement
+    one index at a time: each is a scalar ``choice`` over the size of the
+    pool still left, mapped from its rank in that pool to the index it
+    names by stepping past the indices already taken, smallest first."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        taken = []
+        for pool in (n, n - 1, n - 2):
+            idx = int(rng.choice(pool))
+            for t in sorted(taken):
+                idx += idx >= t
+            taken.append(idx)
+        rows.append(taken)
+    return np.array(rows, dtype=np.intp).reshape(count, 3)
+
+
+class TestRansacTriples:
+    # bounds just above 2**31 reject about half of their 32-bit draws; from
+    # 2**32 on the draws are 64-bit
+    @pytest.mark.parametrize(
+        "n", [3, *range(4, 41), 343, 10000, 10001, 2**31 + 2, 2**32 - 5, 2**32 - 1, 2**32, 2**32 + 7]
+    )
+    def test_equal_successive_choice_calls(self, n):
+        for seed in range(15):
+            for count in (1, 16, 500):
+                got = _ransac_triples(n, count, seed)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, _choice_calls(n, count, seed)), (n, seed, count)
