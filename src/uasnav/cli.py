@@ -148,8 +148,9 @@ def cmd_eval(args) -> int:
     grid = cfg.grid_spec()
     rewards = cfg.reward_spec()
     out = cfg.output_dir
-    if cfg["train"]["eval_episodes"] < 1:
-        raise ConfigError("[train]: eval_episodes must be at least 1")
+    max_episode_steps = cfg.train_config().max_episode_steps  # validated as train validates it
+    if cfg["train"]["eval_episodes"] < 1 or cfg["train"]["eval_seed"] < 0:
+        raise ConfigError("[train]: eval_episodes must be at least 1 and eval_seed non-negative")
     learned = _load_policy(args, cfg, grid)
     summary = policymod.evaluate(
         grid,
@@ -157,7 +158,7 @@ def cmd_eval(args) -> int:
         learned,
         episodes=cfg["train"]["eval_episodes"],
         rng_seed=cfg["train"]["eval_seed"],
-        max_episode_steps=cfg["grid"]["max_episode_steps"],
+        max_episode_steps=max_episode_steps,
     )
     out.mkdir(parents=True, exist_ok=True)
     summary.write_csv(out / "eval.csv")

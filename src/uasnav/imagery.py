@@ -66,6 +66,8 @@ class PerturbationSpec:
         magnitudes = (self.noise_sigma, self.rotation_jitter, self.translation_jitter)
         if not all(math.isfinite(v) and v >= 0 for v in magnitudes):
             raise ValueError("jitter magnitudes must be non-negative and finite")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,8 @@ class WorldSpec:
             raise ValueError("gsd must be positive and finite")
         if not (math.isfinite(self.margin_x_m) and math.isfinite(self.margin_y_m)):
             raise ValueError("margins must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def half_window_m(gsd: float) -> tuple[float, float]:
@@ -243,52 +247,39 @@ def landmark_descriptor_image(
     return RasterImage(pixels=world.pixels[y0:y0 + OBS_HEIGHT, x0:x0 + OBS_WIDTH].copy())
 
 
-_OBS_GRID: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _obs_grid() -> tuple[np.ndarray, np.ndarray]:
-    global _OBS_GRID
-    if _OBS_GRID is None:
-        _OBS_GRID = np.meshgrid(
-            np.arange(OBS_WIDTH, dtype=np.float64) - OBS_WIDTH / 2.0,
-            np.arange(OBS_HEIGHT, dtype=np.float64) - OBS_HEIGHT / 2.0,
-        )
-    return _OBS_GRID
+# view-frame column and row offsets of each pixel from the frame center
+_OBS_DU = np.arange(OBS_WIDTH, dtype=np.float64) - OBS_WIDTH / 2.0
+_OBS_DV = (np.arange(OBS_HEIGHT, dtype=np.float64) - OBS_HEIGHT / 2.0)[:, None]
 
 
 def _bilinear(world: RasterImage, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Bilinear lookup of the world's luminance at ``(px, py)`` as a float32
     plane; callers must have bounds-checked the coordinates.
 
-    The footprint's bounding window is cut from the world once, converted
-    by ``to_gray`` into a contiguous float32 plane with a zero tail, and the
-    four corners are read at flat offsets 0, 1, ``ww`` and ``ww + 1`` from
-    one window-local index. A read past the window's last column or row
-    (the next row's first pixel, or the tail) happens only for a sample on
-    the raster's last column or row, whose weight there is exactly 0, so it
-    adds +0 as a read clamped to the edge would. Exact-integer coordinates
-    reproduce the window's luminance (their weights are exactly 0/1).
+    The footprint's bounding window is cut from the world once and turned
+    by ``to_gray`` into a flat float32 plane; the four corners are read at
+    flat offsets 0, 1, ``ww`` and ``ww + 1`` from one window-local index,
+    clipped to the plane. A read past the window's last column or row
+    happens only for a sample on the raster's last column or row, whose
+    weight there is exactly 0; the value read is a finite luminance of 0 or
+    more, so it adds +0. Exact-integer coordinates reproduce the window's
+    luminance (their weights are exactly 0/1).
     """
     xa, ya = int(px.min()), int(py.min())
-    window = world.pixels[ya:min(int(py.max()) + 2, world.height), xa:min(int(px.max()) + 2, world.width)]
-    wh, ww = window.shape[:2]
-    flat = np.zeros(wh * ww + ww + 1, dtype=np.float32)
-    flat[:wh * ww].reshape(wh, ww)[...] = to_gray(RasterImage(pixels=window))
-    x0f = np.floor(px)
-    y0f = np.floor(py)
-    fx = (px - x0f).astype(np.float32)
-    fy = (py - y0f).astype(np.float32)
-    gx = 1.0 - fx
-    gy = 1.0 - fy
+    window = world.pixels[ya:int(py.max()) + 2, xa:int(px.max()) + 2]  # slicing stops at the raster's edge
+    ww = window.shape[1]
+    flat = to_gray(RasterImage(pixels=window)).astype(np.float32).ravel()
+    x0f, y0f = np.floor(px), np.floor(py)
+    fx, fy = (px - x0f).astype(np.float32), (py - y0f).astype(np.float32)
+    gx, gy = 1.0 - fx, 1.0 - fy
     i00 = (y0f.astype(np.intp) - ya) * ww + (x0f.astype(np.intp) - xa)
-    # top = p00 * gx + p01 * fx, bot likewise, out = top * gy + bot * fy,
-    # evaluated in place
+    # top = p00 * gx + p01 * fx, bot likewise, out = top * gy + bot * fy, in place
     top = np.take(flat, i00)
     top *= gx
-    top += np.take(flat[1:], i00) * fx
-    bot = np.take(flat[ww:], i00)
+    top += np.take(flat[1:], i00, mode="clip") * fx
+    bot = np.take(flat[ww:], i00, mode="clip")
     bot *= gx
-    bot += np.take(flat[ww + 1:], i00) * fx
+    bot += np.take(flat[ww + 1:], i00, mode="clip") * fx
     top *= gy
     bot *= fy
     top += bot
@@ -341,10 +332,9 @@ def render_observation(
         cx += radius * math.cos(phi)
         cy += radius * math.sin(phi)
 
-    du, dv = _obs_grid()
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    wx = cx + reg.gsd * (du * cos_t - dv * sin_t)
-    wy = cy - reg.gsd * (du * sin_t + dv * cos_t)
+    wx = cx + reg.gsd * (_OBS_DU * cos_t - _OBS_DV * sin_t)
+    wy = cy - reg.gsd * (_OBS_DU * sin_t + _OBS_DV * cos_t)
     px = (wx - reg.origin[0]) / reg.gsd
     py = (reg.origin[1] - wy) / reg.gsd
 

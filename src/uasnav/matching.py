@@ -49,13 +49,6 @@ _PATCH_PAD = _PATCH // 2 + 1
 _MIN_IMAGE_SIDE = 32
 NMS_RADIUS = 8       # px between kept corners
 _REL_THRESHOLD = 1e-4  # corner response floor relative to the image's peak
-# raster offsets (dy, dx) from a pixel to the later pixels closer than NMS_RADIUS
-_LATER_OFFSETS = np.array([
-    (dy, dx)
-    for dy in range(NMS_RADIUS)
-    for dx in range(1 - NMS_RADIUS, NMS_RADIUS)
-    if (dy > 0 or dx > 0) and dy * dy + dx * dx < NMS_RADIUS ** 2
-])
 _RANSAC_BLOCK = 16   # hypotheses scored before the rest
 
 
@@ -132,8 +125,8 @@ class MatchParams:
             raise ValueError("inlier_tol_px must be positive and finite")
         if not (math.isfinite(self.distance_threshold_m) and self.distance_threshold_m >= 0):
             raise ValueError("distance_threshold_m must be non-negative and finite")
-        if self.min_inliers < 0:
-            raise ValueError("min_inliers must be non-negative")
+        if self.min_inliers < 0 or self.rng_seed < 0:
+            raise ValueError("min_inliers and rng_seed must be non-negative")
 
 
 @dataclass
@@ -219,34 +212,19 @@ def _nms_kept(xs: np.ndarray, ys: np.ndarray, response: np.ndarray, max_keypoint
 
     Candidates are maxima of their ``2 NMS_RADIUS + 1`` window, so two of
     them closer than ``NMS_RADIUS`` lie in each other's window and have
-    equal response; in the visiting order they are then in raster order.
-    So only candidates in runs of equal response can be dropped, and each
-    only by raster-earlier ones. Among those tied candidates the pass jumps
-    from a kept one, past the later neighbours it drops (read off a label
-    plane at ``_LATER_OFFSETS``), to the next one not dropped: one step
-    per kept tied candidate before the cap, and none without ties.
+    equal response: only a kept candidate earlier in the same run of equal
+    response can drop one, and the first of each run is always kept.
     """
     values = response[ys, xs]
-    same = values[1:] == values[:-1]
-    tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
-    k = len(tied)
-    label = np.full(response.shape, k, dtype=np.int32)
-    label[ys[tied], xs[tied]] = np.arange(k)
-    dy, dx = _LATER_OFFSETS.T
-
-    # slot k takes the marks of absent neighbours; slot k + 1 stays open and ends the walk
-    open_ = np.ones(k + 2, dtype=bool)
+    start = np.searchsorted(-values, -values, side="left")
     keep = np.ones(len(xs), dtype=bool)
-    keep[tied] = False
-    i = n_kept = 0
-    # tied[i] - i untied candidates come before tied[i], all of them kept
-    while i < k and tied[i] - i + n_kept < max_keypoints:
-        y, x = ys[tied[i]], xs[tied[i]]
-        keep[tied[i]] = True
-        n_kept += 1
-        # peaks lie _PATCH_PAD > NMS_RADIUS from the border: no lookup leaves the plane
-        open_[label[y + dy, x + dx]] = False
-        i += 1 + int(np.argmax(open_[i + 1:]))
+    for j in np.flatnonzero(start < np.arange(len(xs))):
+        if j >= max_keypoints and np.count_nonzero(keep[:j]) >= max_keypoints:  # capped before j
+            break
+        # a run is in raster order, so only its rows above ys[j] - NMS_RADIUS can be near
+        lo = start[j] + np.searchsorted(ys[start[j]:j], ys[j] - NMS_RADIUS, side="right")
+        near = (xs[lo:j] - xs[j]) ** 2 + (ys[lo:j] - ys[j]) ** 2 < NMS_RADIUS ** 2
+        keep[j] = not (near & keep[lo:j]).any()
     return np.flatnonzero(keep)[:max_keypoints]
 
 

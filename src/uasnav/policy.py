@@ -111,8 +111,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.epsilon_decay < 0:
             raise ValueError("epsilon decay must be non-negative")
-        if self.episodes < 0 or self.max_episode_steps < 1:
-            raise ValueError("episodes must be >= 0 and max_episode_steps >= 1")
+        if self.episodes < 0 or self.rng_seed < 0 or self.max_episode_steps < 1:
+            raise ValueError("episodes and rng_seed must be >= 0 and max_episode_steps >= 1")
 
     def epsilon_at(self, episode: int) -> float:
         return max(self.epsilon_end, self.epsilon_start - self.epsilon_decay * episode)

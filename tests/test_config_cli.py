@@ -203,6 +203,29 @@ class TestCliTrainEval:
         assert "eval_episodes" in last
         assert "nan" not in captured.out
 
+    def test_eval_rejects_zero_max_episode_steps(self, tmp_path, capsys):
+        # the rule train applies, checked before the policy is read
+        code = main(["eval", "--set", f"run.output_dir={tmp_path}", "--set", "grid.max_episode_steps=0"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "max_episode_steps" in last
+
+    @pytest.mark.parametrize("command, override", [
+        ("train", "train.seed=-1"),
+        ("eval", "train.eval_seed=-1"),
+        ("build-env", "imagery.seed=-1"),
+        ("fly", "mission.seed=-1"),
+        ("fly", "matching.seed=-5"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, optimal_policy, capsys, command, override):
+        save_policy(optimal_policy, tmp_path / "policy.txt")
+        code = main([command, "--set", f"run.output_dir={tmp_path}", "--set", override])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "seed" in last
+
     @pytest.mark.parametrize("col", ["99", "-1"])
     def test_off_grid_goal_exits_2(self, tmp_path, capsys, col):
         code = main(["train", "--set", f"run.output_dir={tmp_path}", "--set", f"grid.goal_col={col}"])

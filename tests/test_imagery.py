@@ -317,6 +317,42 @@ class TestRenderMatchesReference:
                 _assert_near_reference(world, reg, pose, PerturbationSpec(gain=1.1, bias=2.0))
 
 
+# sha256 of the float32 frames of _pinned_renders, as rendered through a
+# cached 2-D offset grid and a zero-tailed gather buffer
+PINNED_RENDER_SHA256 = "82582c07202d59907141d2832aed6953f33644a882db238d6b5a21ba43e6091b"
+
+
+def _pinned_renders(world, gray_world, reg, grid):
+    """Fixed frames on the default world (RGB and gray): whole-pixel
+    identity, rotated with gain, bias and noise, and fractional unrotated;
+    then frames flush with a small world's last column or row."""
+    x, y = landmark_position(grid, LandmarkId(4, 6))
+    perturbed = PerturbationSpec(
+        gain=1.2, bias=-9.0, noise_sigma=3.0, rotation_jitter=0.15, translation_jitter=4.0, rng_seed=7,
+    )
+    cases = ((Pose(x, y), PerturbationSpec()), (Pose(x + 0.3, y - 1.7, 0.05), perturbed),
+             (Pose(x + 0.1, y - 0.35), PerturbationSpec()))
+    for w in (world, gray_world):
+        for pose, perturb in cases:
+            yield render_observation(w, reg, pose, perturb)
+    pixels = np.random.default_rng(3).integers(0, 256, (OBS_HEIGHT + 9, OBS_WIDTH + 13, 3), dtype=np.uint8)
+    small_reg = GeoRegistration(gsd=0.25, origin=(0.0, pixels.shape[0] * 0.25))
+    last_x = (pixels.shape[1] - OBS_WIDTH / 2) * 0.25
+    last_y = small_reg.origin[1] - (pixels.shape[0] - OBS_HEIGHT / 2) * 0.25
+    for small in (RasterImage(pixels), RasterImage(np.ascontiguousarray(pixels[:, :, 0]))):
+        for pose in (Pose(last_x, last_y + 0.1), Pose(last_x - 0.1, last_y)):
+            yield render_observation(small, small_reg, pose, PerturbationSpec(gain=1.1, bias=2.0))
+
+
+def test_render_bytes_are_pinned(world_and_reg, gray_world, grid):
+    world, reg = world_and_reg
+    digest = hashlib.sha256()
+    for frame in _pinned_renders(world, gray_world, reg, grid):
+        assert frame.dtype == np.float32 and frame.shape == (OBS_HEIGHT, OBS_WIDTH)
+        digest.update(frame.tobytes())
+    assert digest.hexdigest() == PINNED_RENDER_SHA256
+
+
 class TestRenderObservation:
     def test_identity_render_matches_descriptor_crop(self, world_and_reg, grid):
         world, reg = world_and_reg

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uasnav.errors import PolicyFormatError
 from uasnav.grid import Action, LandmarkId, manhattan, random_start, step
@@ -298,6 +299,17 @@ class TestPolicyFile:
         path.write_text("\n".join(lines + ["5,5,forward"]) + "\n")
         with pytest.raises(PolicyFormatError, match=f"line {len(lines) + 1}: entry for the goal"):
             load_policy(path)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), cols=st.integers(1, 14), rows=st.integers(1, 14))
+    def test_round_trip_property(self, tmp_path_factory, data, cols, rows):
+        goal = LandmarkId(data.draw(st.integers(0, cols - 1)), data.draw(st.integers(0, rows - 1)))
+        cells = [lid for r in range(rows) for c in range(cols) if (lid := LandmarkId(c, r)) != goal]
+        actions = data.draw(st.lists(st.sampled_from(list(Action)), min_size=len(cells), max_size=len(cells)))
+        policy = PolicyTable(best_action=dict(zip(cells, actions)), goal=goal, cols=cols, rows=rows)
+        path = tmp_path_factory.mktemp("policy") / "policy.txt"
+        save_policy(policy, path)
+        assert load_policy(path) == policy
 
     def test_small_grid_round_trip(self, tmp_path):
         best = {LandmarkId(c, r): Action.RIGHT for r in range(2) for c in range(3) if (c, r) != (2, 1)}
