@@ -257,6 +257,7 @@ def cmd_fly(args) -> int:
     navigator.export_trajectory(log, out / "mission.csv", out / "mission.svg", world, reg, grid)
     print(
         f"mission: outcome={log.outcome.value} arrivals={len(log.arrivals)} "
+        f"attempts={sum(r.attempted for r in log.records)} "
         f"ticks={log.ticks} distance_m={log.distance_flown_m:.1f}"
         + (f" nearest_miss_m={log.nearest_miss_m:.2f}" if log.nearest_miss_m is not None else "")
     )

@@ -163,11 +163,17 @@ def run_mission(
 
     Each tick advances the pose by ``control_step_m`` along the commanded
     cardinal direction. Every ``observation_period`` ticks an observation is
-    rendered and matched against the expected landmark. Arrival is declared
-    at the shortest perceived center distance (``closest_approach``): checks
-    must first pass the arrival gate (model + inliers + distance threshold),
-    and the landmark counts as reached on the next solid match whose
-    distance stops shrinking. The policy is then consulted at the reached
+    rendered and matched against the expected landmark, unless the leg's
+    latest solid match, less the distance flown since, still puts the
+    landmark beyond ``distance_threshold_m`` plus one sampling interval:
+    that prediction bounds the true distance from below, so such a render
+    is not expected to pass the gate. Arrival is declared at the shortest
+    perceived center distance (``closest_approach``): checks must first
+    pass the arrival gate (model + inliers + distance threshold), and the
+    landmark counts as reached on the next solid match whose distance stops
+    shrinking, once the craft has flown that best distance, less one
+    sampling interval, since it was read. The route's landmarks are
+    described before takeoff. The policy is then consulted at the reached
     landmark; the next leg starts from the true, drifted pose. Legs that
     overrun their travel budget end the mission: MATCH_FAILURE if the craft
     actually passed near the landmark (recognition failed), TIMEOUT
@@ -189,8 +195,22 @@ def run_mission(
             f"mission match params ask for {params.max_keypoints}"
         )
 
+    # describe the route's landmarks before takeoff, so that no attempt
+    # pays for a cold fill of its target; where the policy is undefined or
+    # commands off the grid the walk stops, and the flight raises there
+    cell, route = cfg.start, {cfg.start}
+    while cell != cfg.goal:
+        nbr = neighbors(grid, cell).get(cfg.policy.best_action.get(cell))
+        if nbr is None or nbr in route:
+            break
+        library.get(nbr)
+        cell = nbr
+        route.add(cell)
+
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
     sample_floor = min(cfg.control_step_m * cfg.observation_period, params.distance_threshold_m)
+    # a prediction above this margin cannot pass the gate by the next attempt
+    margin = params.distance_threshold_m + cfg.control_step_m * cfg.observation_period
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     cell = cfg.start
@@ -219,7 +239,11 @@ def run_mission(
         )
         travelled = 0.0
         min_true = math.inf
-        best_cd = math.inf  # smallest gate-passing center distance this leg
+        # smallest gate-passing center distance this leg, and the travel then
+        best_cd, best_at = math.inf, 0.0
+        # travel at which the leg's latest solid match puts the landmark
+        # (its distance plus the travel then); -inf before one
+        reach = -math.inf
 
         while True:
             if len(records) >= cfg.max_ticks:
@@ -230,7 +254,10 @@ def run_mission(
             rec = TickRecord(tick=len(records) + 1, x=float(pose[0]), y=float(pose[1]), action=action)
             records.append(rec)
 
-            if rec.tick % cfg.observation_period == 0:
+            # reach - travelled, the measured distance minus the distance flown
+            # since, bounds the true distance from below: skip the render
+            # while it exceeds the margin
+            if rec.tick % cfg.observation_period == 0 and reach - travelled <= margin:
                 try:
                     obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
                 except CoverageError:
@@ -245,7 +272,15 @@ def run_mission(
                 rec.n_matches = res.n_matches
                 rec.inliers = res.inliers
                 rec.center_distance_m = res.center_distance_m
-                if closest_approach(res, best_cd, sample_floor, params.min_inliers):
+                if res.affine is not None and res.inliers >= params.min_inliers:
+                    reach = travelled + res.center_distance_m
+                # a reading that did not shrink ends the leg only once the
+                # craft has flown the best reading's distance, less one
+                # sampling interval, since that reading: a jittered view can
+                # read long while the craft is still closing in
+                if closest_approach(res, best_cd, sample_floor, params.min_inliers) and (
+                    res.center_distance_m <= sample_floor or travelled - best_at >= best_cd - sample_floor
+                ):
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
                     rec.arrival = target
@@ -254,8 +289,10 @@ def run_mission(
                         library.get, attempt_params, reg.gsd,
                     )
                     break
-                if arrival_check(res, params.distance_threshold_m, params.min_inliers):
-                    best_cd = res.center_distance_m
+                if arrival_check(res, params.distance_threshold_m, params.min_inliers) and (
+                    res.center_distance_m < best_cd
+                ):
+                    best_cd, best_at = res.center_distance_m, travelled
 
             if travelled >= leg_budget:
                 return end(*_overrun(min_true, near_pass_m))

@@ -362,6 +362,24 @@ class TestCliBuildEnvAndFly:
         assert (trained / "mission.csv").exists()
         assert (trained / "mission.svg").exists()
 
+    def test_fly_reports_attempts(self, trained, capsys):
+        # the mission line counts the renders; the status line keeps its form
+        code = main([
+            "fly",
+            "--set", f"run.output_dir={trained}",
+            "--set", "mission.start_col=4",
+            "--set", "mission.start_row=5",
+        ])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        with open(trained / "mission.csv", newline="") as fh:
+            attempts = sum(row["attempted"] == "1" for row in csv.DictReader(fh))
+        mission = [line for line in lines if line.startswith("mission:")]
+        assert len(mission) == 1
+        assert f"arrivals=1 attempts={attempts} ticks=" in mission[0]
+        assert 0 < attempts
+        assert lines[-1] == "status=ok outcome=reached_goal arrivals=1"
+
     def test_fly_rejects_mismatched_goal(self, trained, capsys):
         code = main([
             "fly",

@@ -1,12 +1,14 @@
+import csv
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
-from uasnav.grid import Action, LandmarkId, landmark_position, manhattan
+from uasnav.grid import Action, LandmarkId, landmark_position, manhattan, neighbors
 from uasnav.imagery import PerturbationSpec
 from uasnav.matching import AffineTransform, MatchParams, MatchResult
 from uasnav.navigator import (
@@ -24,7 +26,7 @@ from uasnav.policy import PolicyTable, greedy_policy, value_iteration
 # SHA-256 of the attempted ticks of the reference mission flown in
 # test_mission_is_deterministic. A change that alters perception numbers
 # on purpose updates this constant and says why.
-GOLDEN_MISSION_DIGEST = "3eb900febc1ee2c53f7c1099f55d017577ae5972e331f3091d719308de8d53fa"
+GOLDEN_MISSION_DIGEST = "e9e9f75bf34c602ef6aef138a9bb1af1a7e809f3c494a2ec9b3865fc44ac35bb"
 GOLDEN_START = LandmarkId(5, 3)
 GOLDEN_PERTURBATION = PerturbationSpec(
     gain=1.1, bias=-8.0, noise_sigma=3.0, rotation_jitter=0.05, translation_jitter=2.0, rng_seed=31,
@@ -87,6 +89,51 @@ class TestClosestApproach:
         assert not self._arrives(self._result(150, 0.0, with_affine=False), best_cd=1.0)
         assert not self._arrives(self._result(self.MIN_INLIERS - 1, 0.0), best_cd=1.0)
         assert not self._arrives(self._result(self.MIN_INLIERS - 1, 9.0), best_cd=1.0)
+
+
+_distances = st.floats(0.0, 50.0, allow_nan=False)
+
+
+class TestGateProperties:
+    def _result(self, inliers, cd, with_affine=True):
+        return MatchResult(
+            target=None,
+            pairs=np.zeros((0, 2), dtype=int),
+            inliers=inliers,
+            affine=AffineTransform.identity() if with_affine else None,
+            center_distance_m=cd if with_affine else None,
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        inliers=st.integers(0, 400),
+        cd=_distances,
+        more=st.integers(0, 400),
+        closer=_distances,
+        threshold=st.floats(0.1, 20.0),
+        min_inliers=st.integers(1, 300),
+    )
+    def test_arrival_check_is_monotone(self, inliers, cd, more, closer, threshold, min_inliers):
+        # more inliers or a smaller distance never closes an open gate
+        if matching.arrival_check(self._result(inliers, cd), threshold, min_inliers):
+            better = self._result(inliers + more, max(cd - closer, 0.0))
+            assert matching.arrival_check(better, threshold, min_inliers)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        inliers=st.integers(0, 400),
+        cd=_distances,
+        with_affine=st.booleans(),
+        best_cd=st.one_of(_distances, st.just(math.inf)),
+        sample_floor=st.floats(0.1, 5.0),
+        min_inliers=st.integers(1, 300),
+    )
+    def test_closest_approach_needs_a_solid_match(
+        self, inliers, cd, with_affine, best_cd, sample_floor, min_inliers
+    ):
+        res = self._result(inliers, cd, with_affine)
+        if not with_affine or inliers < min_inliers:
+            assert not closest_approach(res, best_cd, sample_floor, min_inliers)
 
 
 class TestMissionConfig:
@@ -306,6 +353,118 @@ class TestMission:
         cfg = MissionConfig(start=LandmarkId(0, 5), goal=goal, policy=bad)
         with pytest.raises(PolicyInconsistencyError):
             run_mission(world, reg, grid, cfg, library=library)
+
+
+class TestSchedule:
+    def test_shut_gate_renders_every_period(self, world_and_reg, grid, optimal_policy, goal, library):
+        # no solid match, no prediction: every observation tick renders
+        world, reg = world_and_reg
+        cfg = MissionConfig(
+            start=LandmarkId(5, 4), goal=goal, policy=optimal_policy,
+            match_params=MatchParams(min_inliers=100_000),
+        )
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.MATCH_FAILURE
+        assert [r.attempted for r in log.records] == [
+            r.tick % cfg.observation_period == 0 for r in log.records
+        ]
+
+    def test_golden_mission_skips_far_renders(self, world_and_reg, grid, optimal_policy, goal, library, tmp_path):
+        world, reg = world_and_reg
+        cfg = MissionConfig(start=GOLDEN_START, goal=goal, policy=optimal_policy, perturbation=GOLDEN_PERTURBATION)
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        path = tmp_path / "mission.csv"
+        write_mission_csv(log, path)
+        assert path.read_text().splitlines()[0] == (
+            "tick,x_m,y_m,action,attempted,matches,inliers,"
+            "center_distance_m,arrival_col,arrival_row,confirmed"
+        )
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == log.ticks
+        assert 0 < sum(row["attempted"] == "1" for row in rows) <= 12
+        skipped = [
+            row for row in rows
+            if int(row["tick"]) % cfg.observation_period == 0 and row["attempted"] == "0"
+        ]
+        assert skipped
+        for row in skipped:
+            assert row["matches"] == row["inliers"] == row["center_distance_m"] == ""
+
+    def test_route_is_described_before_takeoff(self, world_and_reg, grid, optimal_policy, goal, monkeypatch):
+        # with a cold library, as `uasnav fly` has, no attempt pays for its
+        # target's descriptors; only an arrival's rivals are described in flight
+        world, reg = world_and_reg
+        events = []
+        describe, render = navigator.landmark_descriptor_image, navigator.render_observation
+
+        def recording_describe(world, reg, grid, lid):
+            events.append(lid)
+            return describe(world, reg, grid, lid)
+
+        def recording_render(*args, **kwargs):
+            events.append("render")
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(navigator, "landmark_descriptor_image", recording_describe)
+        monkeypatch.setattr(navigator, "render_observation", recording_render)
+        cfg = MissionConfig(start=LandmarkId(4, 4), goal=goal, policy=optimal_policy)
+        log = run_mission(world, reg, grid, cfg)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        renders = [i for i, ev in enumerate(events) if ev == "render"]
+        assert {r.arrival for r in log.arrivals} <= set(events[:renders[0]])
+        departures = [cfg.start] + [r.arrival for r in log.arrivals[:-1]]
+        rivals = {
+            nbr
+            for cell, rec in zip(departures, log.arrivals)
+            for nbr in neighbors(grid, cell).values()
+            if nbr not in (None, rec.arrival)
+        }
+        in_flight = [ev for ev in events[renders[0]:renders[-1]] if ev != "render"]
+        assert in_flight and set(in_flight) <= rivals
+
+
+def _criterion_6_draw(grid, seed=814, n=20):
+    """Start, goal and perturbation of each mission that acceptance
+    criterion 6 draws from ``seed``, in its draw order."""
+    rng = np.random.default_rng(seed)
+    missions = []
+    for _ in range(n):
+        start = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+        goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+        while goal == start:
+            goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+        perturb = PerturbationSpec(
+            gain=float(rng.uniform(0.7, 1.4)),
+            bias=float(rng.uniform(-20.0, 20.0)),
+            noise_sigma=float(rng.uniform(0.0, 5.0)),
+            rotation_jitter=float(math.radians(rng.uniform(0.0, 5.0))),
+            translation_jitter=2.0,
+            rng_seed=int(rng.integers(1 << 31)),
+        )
+        missions.append((start, goal, perturb))
+    return missions
+
+
+class TestPerturbedArrivals:
+    # mission 17 passes a landmark 4 m abeam after an early arrival; an
+    # arrival on the first distance that did not shrink lands 7.2 m out
+    @pytest.mark.parametrize("index", [2, 9, 17])
+    def test_arrivals_within_bound(self, world_and_reg, grid, rewards, match_params, library, index):
+        world, reg = world_and_reg
+        start, goal, perturb = _criterion_6_draw(grid)[index]
+        cfg = MissionConfig(
+            start=start, goal=goal, policy=greedy_policy(value_iteration(grid, rewards, goal), grid),
+            perturbation=perturb, match_params=match_params,
+        )
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        assert len(log.arrivals) == manhattan(start, goal)
+        bound = cfg.match_params.distance_threshold_m + cfg.control_step_m
+        for rec in log.arrivals:
+            pos = landmark_position(grid, rec.arrival)
+            assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
 
 
 @pytest.fixture(scope="module")
