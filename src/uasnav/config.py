@@ -167,9 +167,6 @@ class RunConfig:
         )
 
     def world_spec(self) -> WorldSpec:
-        mode = self.values["imagery"]["mode"]
-        if mode not in ("synthetic", "ingest"):
-            raise ConfigError(f"[imagery]: mode must be 'synthetic' or 'ingest', got {mode!r}")
         return self._build("imagery", WorldSpec)
 
     def match_params(self) -> MatchParams:
@@ -223,7 +220,7 @@ def parse_overrides(pairs: list[str]) -> dict[tuple[str, str], str]:
 
 
 def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
-    """Read, merge, validate; unknown sections/keys raise ConfigError."""
+    """Read, merge, validate; unknown sections, keys or imagery modes raise ConfigError."""
     file_values: dict[str, dict[str, str]] = {}
     if path is not None:
         p = Path(path)
@@ -260,6 +257,9 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
                 values[section][key] = default
                 provenance.append(f"{section}.{key} = {default} (default)")
 
+    mode = values["imagery"]["mode"]
+    if mode not in ("synthetic", "ingest"):
+        raise ConfigError(f"[imagery]: mode must be 'synthetic' or 'ingest', got {mode!r}")
     return RunConfig(values=values, provenance=provenance)
 
 

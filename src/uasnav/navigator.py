@@ -136,20 +136,25 @@ def _overrun(min_true: float, near_pass_m: float) -> tuple[MissionOutcome, float
     return MissionOutcome.TIMEOUT, None
 
 
-def closest_approach(res: MatchResult, best_cd: float, sample_floor: float, min_inliers: int) -> bool:
+def closest_approach(
+    res: MatchResult, best_cd: float, flown_since_best: float, sample_floor: float, min_inliers: int
+) -> bool:
     """Whether this attempt ends the leg at the closest approach.
 
     Only a solid match (a model and at least ``min_inliers`` inliers) can
     arrive. It arrives when its center distance is within one sampling
     interval (``sample_floor``, at most the gate's distance threshold; such
-    a distance cannot meaningfully improve) or when
-    the distance has stopped shrinking since ``best_cd``, the smallest
-    distance of an earlier attempt of the leg that passed the arrival gate
-    (``math.inf`` before one has).
+    a distance cannot meaningfully improve), or when the distance has
+    stopped shrinking since ``best_cd``, the smallest distance of an earlier
+    gate-passing attempt of the leg (``math.inf`` before one), and the
+    craft has flown ``best_cd`` less ``sample_floor`` since that attempt
+    (``flown_since_best``): a jittered view can read long while the craft
+    is still closing in.
     """
     if res.affine is None or res.inliers < min_inliers:
         return False
-    return res.center_distance_m <= sample_floor or res.center_distance_m >= best_cd
+    cd = res.center_distance_m
+    return cd <= sample_floor or (cd >= best_cd and flown_since_best >= best_cd - sample_floor)
 
 
 def run_mission(
@@ -167,14 +172,12 @@ def run_mission(
     latest solid match, less the distance flown since, still puts the
     landmark beyond ``distance_threshold_m`` plus one sampling interval:
     that prediction bounds the true distance from below, so such a render
-    is not expected to pass the gate. Arrival is declared at the shortest
-    perceived center distance (``closest_approach``): checks must first
-    pass the arrival gate (model + inliers + distance threshold), and the
-    landmark counts as reached on the next solid match whose distance stops
-    shrinking, once the craft has flown that best distance, less one
-    sampling interval, since it was read. The route's landmarks are
-    described before takeoff. The policy is then consulted at the reached
-    landmark; the next leg starts from the true, drifted pose. Legs that
+    is not expected to pass the gate. ``closest_approach`` declares the
+    arrival. Before takeoff the policy is walked once, from the start to the
+    goal or to the first repeated cell, and each leg's target is described;
+    a route cell without a policy entry or with a command off the grid
+    raises ``PolicyInconsistencyError`` before the first render. Each leg
+    starts from the true, drifted pose of the last arrival. Legs that
     overrun their travel budget end the mission: MATCH_FAILURE if the craft
     actually passed near the landmark (recognition failed), TIMEOUT
     otherwise. A leg whose jittered footprint leaves the world raster ends
@@ -195,17 +198,19 @@ def run_mission(
             f"mission match params ask for {params.max_keypoints}"
         )
 
-    # describe the route's landmarks before takeoff, so that no attempt
-    # pays for a cold fill of its target; where the policy is undefined or
-    # commands off the grid the walk stops, and the flight raises there
-    cell, route = cfg.start, {cfg.start}
-    while cell != cfg.goal:
-        nbr = neighbors(grid, cell).get(cfg.policy.best_action.get(cell))
-        if nbr is None or nbr in route:
-            break
-        library.get(nbr)
-        cell = nbr
-        route.add(cell)
+    # describe each leg's target before takeoff, so that no attempt pays
+    # for a cold fill of its target
+    legs: dict[LandmarkId, tuple[Action, LandmarkId]] = {}
+    cell = cfg.start
+    while cell != cfg.goal and cell not in legs:
+        try:
+            action = cfg.policy.action_at(cell)
+        except KeyError:
+            raise PolicyInconsistencyError(f"policy undefined at ({cell.col},{cell.row})") from None
+        target = expected_landmark(grid, cell, action)
+        library.get(target)
+        legs[cell] = action, target
+        cell = target
 
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
     sample_floor = min(cfg.control_step_m * cfg.observation_period, params.distance_threshold_m)
@@ -227,11 +232,7 @@ def run_mission(
         )
 
     while cell != cfg.goal:
-        try:
-            action = cfg.policy.action_at(cell)
-        except KeyError:
-            raise PolicyInconsistencyError(f"policy undefined at ({cell.col},{cell.row})") from None
-        target = expected_landmark(grid, cell, action)
+        action, target = legs[cell]
         target_pos = landmark_position(grid, target)
         step = cfg.control_step_m * np.array(action.displacement, dtype=np.float64)
         leg_budget = (
@@ -274,13 +275,7 @@ def run_mission(
                 rec.center_distance_m = res.center_distance_m
                 if res.affine is not None and res.inliers >= params.min_inliers:
                     reach = travelled + res.center_distance_m
-                # a reading that did not shrink ends the leg only once the
-                # craft has flown the best reading's distance, less one
-                # sampling interval, since that reading: a jittered view can
-                # read long while the craft is still closing in
-                if closest_approach(res, best_cd, sample_floor, params.min_inliers) and (
-                    res.center_distance_m <= sample_floor or travelled - best_at >= best_cd - sample_floor
-                ):
+                if closest_approach(res, best_cd, travelled - best_at, sample_floor, params.min_inliers):
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
                     rec.arrival = target

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as perfbench/run.py pins: on a small host the extra
+# thread burns CPU without saving wall time. Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from uasnav.grid import GridSpec, LandmarkId, RewardSpec

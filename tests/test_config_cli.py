@@ -3,6 +3,7 @@ import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uasnav.cli import main
 from uasnav.config import load_config, parse_overrides, write_reference_config
@@ -86,6 +87,32 @@ class TestConfig:
         assert cfg.provenance == []
         assert cfg["mission"]["policy_file"] == "policy.txt"
         assert cfg.values == load_config(None).values
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        episodes=st.integers(0, 100_000),
+        seed=st.integers(0, 2**31 - 1),
+        ratio=st.floats(0.01, 1.0),
+        gain=st.floats(0.1, 10.0),
+        policy_file=st.text("abcxyz0189._-/", min_size=1, max_size=20),
+    )
+    def test_file_values_round_trip_property(self, tmp_path_factory, episodes, seed, ratio, gain, policy_file):
+        drawn = {
+            "train": {"episodes": episodes},
+            "matching": {"ratio": ratio},
+            "mission": {"seed": seed, "gain": gain, "policy_file": policy_file},
+        }
+        p = tmp_path_factory.mktemp("ini") / "run.ini"
+        p.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+            for section, keys in drawn.items()
+        ))
+        cfg = load_config(p)
+        for section, keys in drawn.items():
+            for key, value in keys.items():
+                assert cfg[section][key] == value
+                assert type(cfg[section][key]) is type(value)
+                assert not any(line.startswith(f"{section}.{key} = ") for line in cfg.provenance)
 
     def test_goal_inside_grid(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -440,6 +467,23 @@ class TestCliBuildEnvAndFly:
         assert code == 2
         assert last.startswith("status=error code=2")
         assert "start_col" in last
+
+    def test_fly_rejects_unknown_imagery_mode(self, built, tmp_path, optimal_policy, capsys):
+        # the world files exist, so fly builds no world from the mode
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "imagery.mode=bogus")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "'bogus'" in last
+
+    def test_build_env_rejects_unknown_imagery_mode(self, tmp_path, capsys):
+        out = tmp_path / "env"
+        code = main(["build-env", "--set", f"run.output_dir={out}", "--set", "imagery.mode=bogus"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "'bogus'" in last
+        assert not out.exists()
 
     def test_fly_too_few_ticks_is_runtime_error(self, built, tmp_path, optimal_policy, capsys):
         code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.max_ticks=10")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uasnav.errors import BoundsError, InvalidStateError
 from uasnav.grid import (
@@ -142,6 +143,24 @@ class TestRandomStart:
         assert len(counts) == 99
         for c in counts.values():
             assert abs(c / n - p) <= 3 * sigma
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cols=st.integers(2, 12), rows=st.integers(2, 12), data=st.data())
+    def test_draws_cover_each_non_goal_cell_once(self, cols, rows, data):
+        # a stub generator whose draws run 0, 1, ..., n - 2 in turn
+        grid = GridSpec(cols=cols, rows=rows)
+        goal = LandmarkId(data.draw(st.integers(0, cols - 1)), data.draw(st.integers(0, rows - 1)))
+        bounds = []
+
+        class Sequential:
+            def integers(self, low, high):
+                bounds.append((low, high))
+                return len(bounds) - 1
+
+        starts = [random_start(grid, goal, Sequential()) for _ in range(grid.n_landmarks - 1)]
+        assert len(set(starts)) == len(starts)
+        assert set(starts) == set(grid.all_landmarks()) - {goal}
+        assert bounds == [(0, grid.n_landmarks - 1)] * len(starts)
 
 
 class TestEpisodeLog:

@@ -485,15 +485,20 @@ class TestArrivalCheck:
     def test_few_inliers_fail_regardless_of_distance(self):
         assert not arrival_check(self._result(10, 0.0), 5.0, 30)
 
-    def test_monotone_gate(self):
-        rng = np.random.default_rng(14)
-        for _ in range(200):
-            inliers = int(rng.integers(0, 200))
-            cd = float(rng.uniform(0, 10))
-            base = arrival_check(self._result(inliers, cd), 5.0, 30)
-            better = arrival_check(self._result(inliers + 10, max(cd - 1.0, 0.0)), 5.0, 30)
-            if base:
-                assert better  # improving either quantity never flips true -> false
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        inliers=st.integers(0, 400),
+        cd=st.floats(0.0, 50.0),
+        more=st.integers(0, 400),
+        closer=st.floats(0.0, 50.0),
+        threshold=st.floats(0.1, 20.0),
+        min_inliers=st.integers(1, 300),
+    )
+    def test_arrival_check_is_monotone(self, inliers, cd, more, closer, threshold, min_inliers):
+        # more inliers or a smaller distance never closes an open gate
+        if arrival_check(self._result(inliers, cd), threshold, min_inliers):
+            better = self._result(inliers + more, max(cd - closer, 0.0))
+            assert arrival_check(better, threshold, min_inliers)
 
 
 @pytest.mark.parametrize("field", ["inlier_tol_px", "distance_threshold_m"])

@@ -67,8 +67,8 @@ class TestClosestApproach:
             center_distance_m=cd if with_affine else None,
         )
 
-    def _arrives(self, res, best_cd=math.inf):
-        return closest_approach(res, best_cd, self.FLOOR, self.MIN_INLIERS)
+    def _arrives(self, res, best_cd=math.inf, flown_since_best=math.inf):
+        return closest_approach(res, best_cd, flown_since_best, self.FLOOR, self.MIN_INLIERS)
 
     def test_solid_match_at_or_below_floor_arrives(self):
         assert self._arrives(self._result(150, self.FLOOR))
@@ -85,6 +85,16 @@ class TestClosestApproach:
         # beyond the 5 m gate threshold: the closest approach was the last check
         assert self._arrives(self._result(150, 7.5), best_cd=4.0)
 
+    def test_distance_that_stopped_shrinking_waits_for_the_flown_distance(self):
+        # best_cd less one sampling interval must be flown since the best reading
+        needed = 4.0 - self.FLOOR
+        for cd in (4.0, 7.5):
+            res = self._result(150, cd)
+            assert not self._arrives(res, best_cd=4.0, flown_since_best=math.nextafter(needed, 0.0))
+            assert self._arrives(res, best_cd=4.0, flown_since_best=needed)
+        # a reading within one sampling interval needs no flown distance
+        assert self._arrives(self._result(150, self.FLOOR), best_cd=4.0, flown_since_best=0.0)
+
     def test_weak_match_never_arrives(self):
         assert not self._arrives(self._result(150, 0.0, with_affine=False), best_cd=1.0)
         assert not self._arrives(self._result(self.MIN_INLIERS - 1, 0.0), best_cd=1.0)
@@ -93,32 +103,20 @@ class TestClosestApproach:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         inliers=st.integers(0, 400),
-        cd=st.floats(0.0, 50.0),
-        more=st.integers(0, 400),
-        closer=st.floats(0.0, 50.0),
-        threshold=st.floats(0.1, 20.0),
-        min_inliers=st.integers(1, 300),
-    )
-    def test_arrival_check_is_monotone(self, inliers, cd, more, closer, threshold, min_inliers):
-        # more inliers or a smaller distance never closes an open gate
-        if matching.arrival_check(self._result(inliers, cd), threshold, min_inliers):
-            better = self._result(inliers + more, max(cd - closer, 0.0))
-            assert matching.arrival_check(better, threshold, min_inliers)
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        inliers=st.integers(0, 400),
         shortfall=st.integers(0, 300),
         with_affine=st.booleans(),
         cd=st.floats(0.0, 50.0),
         best_cd=st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
+        flown_since_best=st.one_of(st.floats(0.0, 100.0), st.just(math.inf)),
         sample_floor=st.floats(0.1, 5.0),
     )
-    def test_weak_match_never_arrives_property(self, inliers, shortfall, with_affine, cd, best_cd, sample_floor):
+    def test_weak_match_never_arrives_property(
+        self, inliers, shortfall, with_affine, cd, best_cd, flown_since_best, sample_floor
+    ):
         # a result without a model, or with a model below the inlier floor
         min_inliers = inliers + shortfall + with_affine
         res = self._result(inliers, cd, with_affine)
-        assert not closest_approach(res, best_cd, sample_floor, min_inliers)
+        assert not closest_approach(res, best_cd, flown_since_best, sample_floor, min_inliers)
 
 
 class TestMissionConfig:
@@ -338,6 +336,38 @@ class TestMission:
         cfg = MissionConfig(start=LandmarkId(0, 5), goal=goal, policy=bad)
         with pytest.raises(PolicyInconsistencyError):
             run_mission(world, reg, grid, cfg, library=library)
+
+    def _fly_counting_renders(self, world_and_reg, grid, goal, library, monkeypatch, best_action):
+        world, reg = world_and_reg
+        renders, render = [], navigator.render_observation
+
+        def counting_render(world, reg, pose, *args, **kwargs):
+            renders.append(pose)
+            return render(world, reg, pose, *args, **kwargs)
+
+        monkeypatch.setattr(navigator, "render_observation", counting_render)
+        policy = PolicyTable(best_action=best_action, goal=goal, cols=grid.cols, rows=grid.rows)
+        cfg = MissionConfig(start=LandmarkId(2, 5), goal=goal, policy=policy)
+        with pytest.raises(PolicyInconsistencyError) as excinfo:
+            run_mission(world, reg, grid, cfg, library=library)
+        assert renders == []
+        return str(excinfo.value)
+
+    def test_route_without_policy_entry_raises_before_takeoff(
+        self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
+    ):
+        best_action = dict(optimal_policy.best_action)
+        del best_action[LandmarkId(4, 5)]
+        message = self._fly_counting_renders(world_and_reg, grid, goal, library, monkeypatch, best_action)
+        assert message == "policy undefined at (4,5)"
+
+    def test_route_off_the_grid_raises_before_takeoff(
+        self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
+    ):
+        best_action = dict(optimal_policy.best_action)
+        best_action.update({LandmarkId(4, row): Action.FORWARD for row in range(5, grid.rows)})
+        message = self._fly_counting_renders(world_and_reg, grid, goal, library, monkeypatch, best_action)
+        assert message == f"policy commands forward off the grid at (4,{grid.rows - 1})"
 
 
 class TestSchedule:
