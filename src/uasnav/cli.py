@@ -79,9 +79,6 @@ def _load_policy(args, cfg: cfgmod.RunConfig, grid: GridSpec) -> policymod.Polic
 def cmd_build_env(args) -> int:
     cfg = _load_run_config(args)
     grid = cfg.grid_spec()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     if cfg["imagery"]["mode"] == "synthetic":
         world, reg = imagery.build_world(grid, cfg.world_spec())
     else:
@@ -93,6 +90,9 @@ def cmd_build_env(args) -> int:
             )
         world, reg = _read_world(src_raster, src_sidecar, grid)
 
+    # only a world that was built or read gets an output directory
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     world_name = str(cfg["imagery"]["world_raster"])
     write_pnm(world, out / world_name)
     write_sidecar(reg, out / str(cfg["imagery"]["world_sidecar"]))

@@ -539,14 +539,3 @@ def target_ranks_first(
             results.append(_fit_pairs(observation, candidate, pairs, params, gsd, lid))
     return rank_neighbors(results)[0].target == target
 
-
-def arrival_check(result: MatchResult, distance_threshold_m: float, min_inliers: int) -> bool:
-    """True iff the match has a model, enough inliers, and a center distance
-    within the threshold. Monotone: more inliers or a smaller distance can
-    never turn True into False."""
-    return (
-        result.affine is not None
-        and result.inliers >= min_inliers
-        and result.center_distance_m is not None
-        and result.center_distance_m <= distance_threshold_m
-    )

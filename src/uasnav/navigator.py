@@ -26,7 +26,6 @@ from .matching import (
     DescriptorSet,
     MatchParams,
     MatchResult,
-    arrival_check,
     build_descriptor_set,
     match_images,
     target_ranks_first,
@@ -127,34 +126,38 @@ def expected_landmark(grid: GridSpec, current: LandmarkId, action: Action) -> La
     return nbr
 
 
-def _overrun(min_true: float, near_pass_m: float) -> tuple[MissionOutcome, float | None]:
-    """How a leg that ends without an arrival ends the mission: MATCH_FAILURE
-    with the nearest miss if the craft passed near the landmark (recognition
-    failed), TIMEOUT otherwise."""
-    if min_true <= near_pass_m:
-        return MissionOutcome.MATCH_FAILURE, min_true
-    return MissionOutcome.TIMEOUT, None
+class Gate(Enum):
+    """The verdict of one attempt at the arrival gate (see ``gate``)."""
+
+    NO_MODEL = "no_model"
+    FEW_INLIERS = "few_inliers"
+    TOO_FAR = "too_far"
+    CLOSING_IN = "closing_in"
+    CLOSEST_APPROACH = "closest_approach"
 
 
-def closest_approach(
-    res: MatchResult, best_cd: float, flown_since_best: float, sample_floor: float, min_inliers: int
-) -> bool:
-    """Whether this attempt ends the leg at the closest approach.
-
-    Only a solid match (a model and at least ``min_inliers`` inliers) can
-    arrive. It arrives when its center distance is within one sampling
-    interval (``sample_floor``, at most the gate's distance threshold; such
-    a distance cannot meaningfully improve), or when the distance has
-    stopped shrinking since ``best_cd``, the smallest distance of an earlier
-    gate-passing attempt of the leg (``math.inf`` before one), and the
-    craft has flown ``best_cd`` less ``sample_floor`` since that attempt
-    (``flown_since_best``): a jittered view can read long while the craft
-    is still closing in.
+def gate(
+    res: MatchResult, best_cd: float, flown_since_best: float, sample_floor: float, params: MatchParams
+) -> Gate:
+    """The whole arrival rule. A solid match (a model and at least
+    ``min_inliers`` inliers) is the CLOSEST_APPROACH when its center
+    distance is within one sampling interval (``sample_floor``, at most the
+    distance threshold), or when it has stopped shrinking since ``best_cd``,
+    the leg's smallest CLOSING_IN distance (``math.inf`` before one), and the
+    craft has flown ``best_cd`` less ``sample_floor`` since then
+    (``flown_since_best``): a jittered view can read long while the craft is
+    still closing in. Else it is TOO_FAR beyond ``distance_threshold_m``.
     """
-    if res.affine is None or res.inliers < min_inliers:
-        return False
+    if res.affine is None:
+        return Gate.NO_MODEL
+    if res.inliers < params.min_inliers:
+        return Gate.FEW_INLIERS
     cd = res.center_distance_m
-    return cd <= sample_floor or (cd >= best_cd and flown_since_best >= best_cd - sample_floor)
+    if cd <= sample_floor or (cd >= best_cd and flown_since_best >= best_cd - sample_floor):
+        return Gate.CLOSEST_APPROACH
+    if cd > params.distance_threshold_m:
+        return Gate.TOO_FAR
+    return Gate.CLOSING_IN
 
 
 def run_mission(
@@ -172,16 +175,17 @@ def run_mission(
     latest solid match, less the distance flown since, still puts the
     landmark beyond ``distance_threshold_m`` plus one sampling interval:
     that prediction bounds the true distance from below, so such a render
-    is not expected to pass the gate. ``closest_approach`` declares the
-    arrival. Before takeoff the policy is walked once, from the start to the
-    goal or to the first repeated cell, and each leg's target is described;
-    a route cell without a policy entry or with a command off the grid
-    raises ``PolicyInconsistencyError`` before the first render. Each leg
-    starts from the true, drifted pose of the last arrival. Legs that
-    overrun their travel budget end the mission: MATCH_FAILURE if the craft
-    actually passed near the landmark (recognition failed), TIMEOUT
-    otherwise. A leg whose jittered footprint leaves the world raster ends
-    the same way; exceeding ``max_ticks`` is always TIMEOUT.
+    is not expected to pass the gate. The ``gate`` verdict alone decides
+    each attempt: a solid one re-anchors the prediction, CLOSING_IN keeps
+    the leg's smallest distance, CLOSEST_APPROACH arrives. Before takeoff
+    the policy is walked once, from the start to the goal or to the first
+    repeated cell, and each leg's target is described; a route cell without
+    a policy entry or with a command off the grid raises
+    ``PolicyInconsistencyError`` before the first render. Each leg starts
+    from the true, drifted pose of the last arrival. Exceeding ``max_ticks``
+    is TIMEOUT. A leg that overruns its travel budget, or whose jittered
+    footprint leaves the world raster, ends the mission in MATCH_FAILURE if
+    the craft passed near the landmark (recognition failed), else TIMEOUT.
     """
     grid.check(cfg.start)
     grid.check(cfg.goal)
@@ -218,7 +222,6 @@ def run_mission(
     margin = params.distance_threshold_m + cfg.control_step_m * cfg.observation_period
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
-    cell = cfg.start
     records: list[TickRecord] = []
 
     def end(outcome: MissionOutcome, nearest_miss: float | None = None) -> MissionLog:
@@ -231,7 +234,10 @@ def run_mission(
             nearest_miss_m=nearest_miss,
         )
 
-    while cell != cfg.goal:
+    def fly_leg(cell: LandmarkId) -> MissionLog | None:
+        """Fly the leg from ``cell`` on from the current pose: None once its
+        target is reached, else the log of the mission that ends on it."""
+        nonlocal pose
         action, target = legs[cell]
         target_pos = landmark_position(grid, target)
         step = cfg.control_step_m * np.array(action.displacement, dtype=np.float64)
@@ -240,13 +246,13 @@ def run_mission(
         )
         travelled = 0.0
         min_true = math.inf
-        # smallest gate-passing center distance this leg, and the travel then
+        # smallest closing-in center distance this leg, and the travel then
         best_cd, best_at = math.inf, 0.0
         # travel at which the leg's latest solid match puts the landmark
         # (its distance plus the travel then); -inf before one
         reach = -math.inf
 
-        while True:
+        while travelled < leg_budget:
             if len(records) >= cfg.max_ticks:
                 return end(MissionOutcome.TIMEOUT)
             pose = pose + step
@@ -262,8 +268,7 @@ def run_mission(
                 try:
                     obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
                 except CoverageError:
-                    # the craft can no longer observe this leg: it overruns here
-                    return end(*_overrun(min_true, near_pass_m))
+                    break  # the craft can no longer observe this leg
                 obs_set = build_descriptor_set(obs, params)
                 attempt = rec.tick // cfg.observation_period
                 # one RANSAC seed per attempt, for the target and any rival fit
@@ -273,9 +278,10 @@ def run_mission(
                 rec.n_matches = res.n_matches
                 rec.inliers = res.inliers
                 rec.center_distance_m = res.center_distance_m
-                if res.affine is not None and res.inliers >= params.min_inliers:
+                verdict = gate(res, best_cd, travelled - best_at, sample_floor, params)
+                if verdict not in (Gate.NO_MODEL, Gate.FEW_INLIERS):
                     reach = travelled + res.center_distance_m
-                if closest_approach(res, best_cd, travelled - best_at, sample_floor, params.min_inliers):
+                if verdict is Gate.CLOSEST_APPROACH:
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
                     rec.arrival = target
@@ -283,16 +289,20 @@ def run_mission(
                         obs_set, res, [nid for nid in neighbors(grid, cell).values() if nid is not None],
                         library.get, attempt_params, reg.gsd,
                     )
-                    break
-                if arrival_check(res, params.distance_threshold_m, params.min_inliers) and (
-                    res.center_distance_m < best_cd
-                ):
+                    return None
+                if verdict is Gate.CLOSING_IN and res.center_distance_m < best_cd:
                     best_cd, best_at = res.center_distance_m, travelled
+        # the leg overran: recognition failed if the craft passed near the landmark
+        if min_true <= near_pass_m:
+            return end(MissionOutcome.MATCH_FAILURE, min_true)
+        return end(MissionOutcome.TIMEOUT)
 
-            if travelled >= leg_budget:
-                return end(*_overrun(min_true, near_pass_m))
-        cell = target
-
+    cell = cfg.start
+    while cell != cfg.goal:
+        ended = fly_leg(cell)
+        if ended is not None:
+            return ended
+        cell = legs[cell][1]
     return end(MissionOutcome.REACHED_GOAL)
 
 

@@ -530,11 +530,13 @@ class TestCliBuildEnvAndFly:
         assert not (tmp_path / "world.ppm").exists()
 
     def test_ingest_without_sources_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "env"
         code = main([
             "build-env",
-            "--set", f"run.output_dir={tmp_path}",
+            "--set", f"run.output_dir={out}",
             "--set", "imagery.mode=ingest",
         ])
         captured = capsys.readouterr()
         assert code == 2
         assert "ingest_raster" in captured.out
+        assert not out.exists()

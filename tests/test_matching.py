@@ -20,7 +20,6 @@ from uasnav.matching import (
     DescriptorSet,
     MatchParams,
     MatchResult,
-    arrival_check,
     build_descriptor_set,
     center_distance,
     describe,
@@ -32,6 +31,7 @@ from uasnav.matching import (
     rank_neighbors,
     target_ranks_first,
 )
+from uasnav.navigator import Gate, gate
 
 
 def _reference_matches(query, train, ratio):
@@ -329,8 +329,9 @@ class TestRankNeighbors:
         lid = LandmarkId(5, 5)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
         ranked = _rank(build_descriptor_set(to_gray(noise), match_params), cands, match_params, reg.gsd)
+        floor = min(2.0, match_params.distance_threshold_m)  # one sampling interval by default
         for res in ranked:
-            assert not arrival_check(res, match_params.distance_threshold_m, match_params.min_inliers)
+            assert gate(res, math.inf, 0.0, floor, match_params) in (Gate.NO_MODEL, Gate.FEW_INLIERS, Gate.TOO_FAR)
 
     def test_single_candidate(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
@@ -467,6 +468,12 @@ class TestTargetRanksFirst:
 
 
 class TestArrivalCheck:
+    """The gate's pass at a leg's first reading: a solid match within the
+    distance threshold is CLOSING_IN or, within one sampling interval,
+    the CLOSEST_APPROACH."""
+
+    PASSING = (Gate.CLOSING_IN, Gate.CLOSEST_APPROACH)
+
     def _result(self, inliers, cd, with_affine=True):
         return MatchResult(
             target=None,
@@ -476,14 +483,23 @@ class TestArrivalCheck:
             center_distance_m=cd if with_affine else None,
         )
 
+    def _passes(self, res, threshold, min_inliers, sample_floor=2.0):
+        params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
+        return gate(res, math.inf, 0.0, min(sample_floor, threshold), params) in self.PASSING
+
     def test_passes_thresholds(self):
-        assert arrival_check(self._result(150, 1.2), 5.0, 30)
+        assert self._passes(self._result(150, 1.2), 5.0, 30)
+        assert self._passes(self._result(150, 4.0), 5.0, 30)
 
     def test_no_affine_fails(self):
-        assert not arrival_check(self._result(150, 1.2, with_affine=False), 5.0, 30)
+        res = self._result(150, 1.2, with_affine=False)
+        assert not self._passes(res, 5.0, 30)
+        assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.NO_MODEL
 
     def test_few_inliers_fail_regardless_of_distance(self):
-        assert not arrival_check(self._result(10, 0.0), 5.0, 30)
+        res = self._result(10, 0.0)
+        assert not self._passes(res, 5.0, 30)
+        assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -493,12 +509,13 @@ class TestArrivalCheck:
         closer=st.floats(0.0, 50.0),
         threshold=st.floats(0.1, 20.0),
         min_inliers=st.integers(1, 300),
+        sample_floor=st.floats(0.1, 5.0),
     )
-    def test_arrival_check_is_monotone(self, inliers, cd, more, closer, threshold, min_inliers):
+    def test_arrival_check_is_monotone(self, inliers, cd, more, closer, threshold, min_inliers, sample_floor):
         # more inliers or a smaller distance never closes an open gate
-        if arrival_check(self._result(inliers, cd), threshold, min_inliers):
+        if self._passes(self._result(inliers, cd), threshold, min_inliers, sample_floor):
             better = self._result(inliers + more, max(cd - closer, 0.0))
-            assert arrival_check(better, threshold, min_inliers)
+            assert self._passes(better, threshold, min_inliers, sample_floor)
 
 
 @pytest.mark.parametrize("field", ["inlier_tol_px", "distance_threshold_m"])

@@ -12,11 +12,12 @@ from uasnav.grid import Action, LandmarkId, landmark_position, manhattan, neighb
 from uasnav.imagery import PerturbationSpec
 from uasnav.matching import AffineTransform, MatchParams, MatchResult
 from uasnav.navigator import (
+    Gate,
     MissionConfig,
     MissionOutcome,
-    closest_approach,
     expected_landmark,
     export_trajectory,
+    gate,
     read_mission_poses,
     run_mission,
     write_mission_csv,
@@ -27,6 +28,8 @@ from uasnav.policy import PolicyTable, greedy_policy, value_iteration
 # test_mission_is_deterministic. A change that alters perception numbers
 # on purpose updates this constant and says why.
 GOLDEN_MISSION_DIGEST = "e9e9f75bf34c602ef6aef138a9bb1af1a7e809f3c494a2ec9b3865fc44ac35bb"
+# SHA-256 of that mission's whole mission.csv: every pose as well as every attempt
+GOLDEN_MISSION_CSV_SHA256 = "910b0fdb18822eb0bb56cec0da2662828a805e155149138967eff6554425a790"
 GOLDEN_START = LandmarkId(5, 3)
 GOLDEN_PERTURBATION = PerturbationSpec(
     gain=1.1, bias=-8.0, noise_sigma=3.0, rotation_jitter=0.05, translation_jitter=2.0, rng_seed=31,
@@ -44,6 +47,14 @@ def _attempt_digest(log) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def golden_mission(world_and_reg, grid, optimal_policy, goal, library):
+    """The reference mission, flown once for the tests that read its log."""
+    world, reg = world_and_reg
+    cfg = MissionConfig(start=GOLDEN_START, goal=goal, policy=optimal_policy, perturbation=GOLDEN_PERTURBATION)
+    return cfg, run_mission(world, reg, grid, cfg, library=library)
+
+
 class TestExpectedLandmark:
     def test_lattice_arithmetic(self, grid):
         assert expected_landmark(grid, LandmarkId(2, 2), Action.RIGHT) == LandmarkId(3, 2)
@@ -56,7 +67,8 @@ class TestExpectedLandmark:
 
 class TestClosestApproach:
     FLOOR = 2.0  # one sampling interval at the default kinematics
-    MIN_INLIERS = 30
+    PARAMS = MatchParams()  # 30 inliers, 5 m distance threshold
+    WEAK = (Gate.NO_MODEL, Gate.FEW_INLIERS)
 
     def _result(self, inliers, cd, with_affine=True):
         return MatchResult(
@@ -67,38 +79,39 @@ class TestClosestApproach:
             center_distance_m=cd if with_affine else None,
         )
 
-    def _arrives(self, res, best_cd=math.inf, flown_since_best=math.inf):
-        return closest_approach(res, best_cd, flown_since_best, self.FLOOR, self.MIN_INLIERS)
+    def _verdict(self, res, best_cd=math.inf, flown_since_best=math.inf):
+        return gate(res, best_cd, flown_since_best, self.FLOOR, self.PARAMS)
 
     def test_solid_match_at_or_below_floor_arrives(self):
-        assert self._arrives(self._result(150, self.FLOOR))
-        assert self._arrives(self._result(150, 0.5))
+        for cd in (self.FLOOR, 0.5):
+            assert self._verdict(self._result(150, cd)) is Gate.CLOSEST_APPROACH
 
     def test_gate_passing_match_above_floor_only_records_distance(self):
-        res = self._result(150, 4.0)
-        assert matching.arrival_check(res, 5.0, self.MIN_INLIERS)
-        assert not self._arrives(res)
-        assert not self._arrives(self._result(150, 3.0), best_cd=4.0)  # still closing in
+        assert self._verdict(self._result(150, 4.0)) is Gate.CLOSING_IN
+        assert self._verdict(self._result(150, 3.0), best_cd=4.0) is Gate.CLOSING_IN
+        assert self._verdict(self._result(150, 7.5)) is Gate.TOO_FAR
 
     def test_distance_that_stopped_shrinking_arrives(self):
-        assert self._arrives(self._result(150, 4.0), best_cd=4.0)
+        assert self._verdict(self._result(150, 4.0), best_cd=4.0) is Gate.CLOSEST_APPROACH
         # beyond the 5 m gate threshold: the closest approach was the last check
-        assert self._arrives(self._result(150, 7.5), best_cd=4.0)
+        assert self._verdict(self._result(150, 7.5), best_cd=4.0) is Gate.CLOSEST_APPROACH
 
     def test_distance_that_stopped_shrinking_waits_for_the_flown_distance(self):
         # best_cd less one sampling interval must be flown since the best reading
         needed = 4.0 - self.FLOOR
-        for cd in (4.0, 7.5):
+        for cd, waiting in ((4.0, Gate.CLOSING_IN), (7.5, Gate.TOO_FAR)):
             res = self._result(150, cd)
-            assert not self._arrives(res, best_cd=4.0, flown_since_best=math.nextafter(needed, 0.0))
-            assert self._arrives(res, best_cd=4.0, flown_since_best=needed)
+            assert self._verdict(res, best_cd=4.0, flown_since_best=math.nextafter(needed, 0.0)) is waiting
+            assert self._verdict(res, best_cd=4.0, flown_since_best=needed) is Gate.CLOSEST_APPROACH
         # a reading within one sampling interval needs no flown distance
-        assert self._arrives(self._result(150, self.FLOOR), best_cd=4.0, flown_since_best=0.0)
+        assert self._verdict(self._result(150, self.FLOOR), best_cd=4.0, flown_since_best=0.0) is (
+            Gate.CLOSEST_APPROACH
+        )
 
     def test_weak_match_never_arrives(self):
-        assert not self._arrives(self._result(150, 0.0, with_affine=False), best_cd=1.0)
-        assert not self._arrives(self._result(self.MIN_INLIERS - 1, 0.0), best_cd=1.0)
-        assert not self._arrives(self._result(self.MIN_INLIERS - 1, 9.0), best_cd=1.0)
+        assert self._verdict(self._result(150, 0.0, with_affine=False), best_cd=1.0) is Gate.NO_MODEL
+        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 0.0), best_cd=1.0) is Gate.FEW_INLIERS
+        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 9.0), best_cd=1.0) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -114,9 +127,45 @@ class TestClosestApproach:
         self, inliers, shortfall, with_affine, cd, best_cd, flown_since_best, sample_floor
     ):
         # a result without a model, or with a model below the inlier floor
-        min_inliers = inliers + shortfall + with_affine
+        params = MatchParams(min_inliers=inliers + shortfall + with_affine)
         res = self._result(inliers, cd, with_affine)
-        assert not closest_approach(res, best_cd, flown_since_best, sample_floor, min_inliers)
+        assert gate(res, best_cd, flown_since_best, sample_floor, params) in self.WEAK
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        inliers=st.integers(0, 400),
+        min_inliers=st.integers(0, 400),
+        with_affine=st.booleans(),
+        cd=st.floats(0.0, 50.0),
+        best_cd=st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
+        flown_since_best=st.one_of(st.floats(0.0, 100.0), st.just(math.inf)),
+        sample_floor=st.floats(0.1, 5.0),
+        threshold=st.floats(0.0, 20.0),
+    )
+    def test_verdict_matches_the_rules_it_replaced(
+        self, inliers, min_inliers, with_affine, cd, best_cd, flown_since_best, sample_floor, threshold
+    ):
+        params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
+        res = self._result(inliers, cd, with_affine)
+        verdict = gate(res, best_cd, flown_since_best, sample_floor, params)
+        # the three expressions the flight loop used before the verdict:
+        # the solid match that re-anchors the prediction ...
+        solid = res.affine is not None and res.inliers >= min_inliers
+        # ... the closest approach that arrives ...
+        arrives = solid and (
+            cd <= sample_floor or (cd >= best_cd and flown_since_best >= best_cd - sample_floor)
+        )
+        # ... and the gate pass that, short of an arrival, records the distance
+        passes = (
+            res.affine is not None
+            and res.inliers >= min_inliers
+            and res.center_distance_m is not None
+            and res.center_distance_m <= threshold
+        )
+        assert (verdict not in self.WEAK) == solid
+        assert (verdict is Gate.NO_MODEL) == (res.affine is None)
+        assert (verdict is Gate.CLOSEST_APPROACH) == arrives
+        assert (verdict is Gate.CLOSING_IN) == (passes and not arrives)
 
 
 class TestMissionConfig:
@@ -260,16 +309,16 @@ class TestMission:
                 pos = landmark_position(grid, rec.arrival)
                 assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
 
-    def test_mission_is_deterministic(self, world_and_reg, grid, optimal_policy, goal, library, tmp_path):
+    def test_mission_is_deterministic(self, world_and_reg, grid, library, golden_mission, tmp_path):
         world, reg = world_and_reg
-        cfg = MissionConfig(start=GOLDEN_START, goal=goal, policy=optimal_policy, perturbation=GOLDEN_PERTURBATION)
-        log1 = run_mission(world, reg, grid, cfg, library=library)
+        cfg, log1 = golden_mission
         log2 = run_mission(world, reg, grid, cfg, library=library)
         p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
         write_mission_csv(log1, p1)
         write_mission_csv(log2, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert _attempt_digest(log1) == GOLDEN_MISSION_DIGEST
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == GOLDEN_MISSION_CSV_SHA256
 
     def test_cyclic_policy_times_out(self, world_and_reg, grid, goal, library):
         world, reg = world_and_reg
@@ -279,10 +328,17 @@ class TestMission:
                 continue
             cyclic[lid] = Action.RIGHT if lid.col < grid.cols - 1 else Action.LEFT
         bad = PolicyTable(best_action=cyclic, goal=goal, cols=grid.cols, rows=grid.rows)
-        cfg = MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=bad, max_ticks=900)
+        # the tick limit falls 2 ticks before an arrival, 4 m short of its landmark
+        cfg = MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=bad, max_ticks=644)
         log = run_mission(world, reg, grid, cfg, library=library)
+        target = expected_landmark(grid, log.arrivals[-1].arrival, log.records[-1].action)
+        last = log.records[-1]
+        near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
+        # a precondition: the craft is near the landmark, yet the tick limit is TIMEOUT
+        assert np.hypot(*(landmark_position(grid, target) - (last.x, last.y))) <= near_pass_m
         assert log.outcome == MissionOutcome.TIMEOUT
-        assert log.ticks == 900
+        assert log.nearest_miss_m is None
+        assert log.ticks == 644
 
     def test_unrecognizable_landmark_is_match_failure(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
@@ -384,10 +440,8 @@ class TestSchedule:
             r.tick % cfg.observation_period == 0 for r in log.records
         ]
 
-    def test_golden_mission_skips_far_renders(self, world_and_reg, grid, optimal_policy, goal, library, tmp_path):
-        world, reg = world_and_reg
-        cfg = MissionConfig(start=GOLDEN_START, goal=goal, policy=optimal_policy, perturbation=GOLDEN_PERTURBATION)
-        log = run_mission(world, reg, grid, cfg, library=library)
+    def test_golden_mission_skips_far_renders(self, golden_mission, tmp_path):
+        cfg, log = golden_mission
         assert log.outcome == MissionOutcome.REACHED_GOAL
         path = tmp_path / "mission.csv"
         write_mission_csv(log, path)
