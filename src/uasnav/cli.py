@@ -45,7 +45,7 @@ def _read_world(raster_path, sidecar_path, grid: GridSpec) -> tuple[RasterImage,
     """A world raster and its sidecar from disk, checked to cover the grid."""
     world = read_pnm(raster_path)
     reg = read_sidecar(sidecar_path)
-    imagery.check_world_coverage(world, reg, grid)
+    imagery.check_world_coverage(world.width, world.height, reg, grid)
     return world, reg
 
 

@@ -173,14 +173,16 @@ def manhattan(a: LandmarkId, b: LandmarkId) -> int:
     return abs(a.col - b.col) + abs(a.row - b.row)
 
 
-def neighbors(grid: GridSpec, state: LandmarkId) -> dict[Action, LandmarkId | None]:
-    """Adjacent landmark per action, or None where the move leaves the grid."""
+def neighbors(grid: GridSpec, state: LandmarkId) -> dict[Action, LandmarkId]:
+    """Adjacent landmark per action, in ``Action`` order, for the moves that
+    stay on the grid; a move that leaves it has no entry."""
     grid.check(state)
-    out: dict[Action, LandmarkId | None] = {}
+    out: dict[Action, LandmarkId] = {}
     for action in Action:
         dc, dr = action.displacement
         col, row = state.col + dc, state.row + dr
-        out[action] = LandmarkId(col, row) if grid.contains(col, row) else None
+        if grid.contains(col, row):
+            out[action] = LandmarkId(col, row)
     return out
 
 
@@ -197,15 +199,12 @@ def step(
     collision penalty. Reaching the goal terminates with the goal reward;
     any other move costs the step penalty.
     """
-    grid.check(state)
     grid.check(goal)
     if state == goal:
         raise InvalidStateError("step() called at the goal; episode is over, reset first")
-    dc, dr = action.displacement
-    col, row = state.col + dc, state.row + dr
-    if not grid.contains(col, row):
+    nxt = neighbors(grid, state).get(action)  # checks the state
+    if nxt is None:
         return Transition(state, action, rewards.collision_penalty, state, False)
-    nxt = LandmarkId(col, row)
     if nxt == goal:
         return Transition(state, action, rewards.goal_reward, nxt, True)
     return Transition(state, action, rewards.step_penalty, nxt, False)

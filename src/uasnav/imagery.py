@@ -74,9 +74,10 @@ class PerturbationSpec:
 class WorldSpec:
     """Synthesis parameters for the procedural orthophoto.
 
-    Margins must cover at least the observation half-window (so every
-    landmark can be cropped); the defaults leave extra room for rotated
-    and translation-jittered footprints near boundary landmarks.
+    A world covers the grid when every landmark's unperturbed frame can be
+    rendered (``check_world_coverage``, run before synthesis); the default
+    margins leave extra room for rotated and translation-jittered
+    footprints near boundary landmarks.
     """
 
     seed: int = 99
@@ -94,34 +95,43 @@ class WorldSpec:
             raise ValueError("seed must be non-negative")
 
 
-def half_window_m(gsd: float) -> tuple[float, float]:
-    return (OBS_WIDTH / 2.0) * gsd, (OBS_HEIGHT / 2.0) * gsd
+# view-frame column and row offsets of each pixel from the frame center
+_OBS_DU = np.arange(OBS_WIDTH, dtype=np.float64) - OBS_WIDTH / 2.0
+_OBS_DV = (np.arange(OBS_HEIGHT, dtype=np.float64) - OBS_HEIGHT / 2.0)[:, None]
 
 
-def required_world_bounds(grid: GridSpec, gsd: float) -> tuple[float, float, float, float]:
-    """Minimum (west, south, east, north) the world must cover: the grid
-    extent expanded by one observation half-window on every side."""
-    half_w, half_h = half_window_m(gsd)
-    ox, oy = grid.origin
-    ex, ey = grid.extent
-    return ox - half_w, oy - half_h, ox + ex + half_w, oy + ey + half_h
+def _frame_pixels(
+    reg: GeoRegistration, cx: float, cy: float, theta: float, du: np.ndarray, dv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """World-pixel ``px, py`` of the frame samples at column offsets ``du``
+    and row offsets ``dv`` from a frame centered on ``(cx, cy)`` m and turned
+    by ``theta``: the one frame geometry of the render and the coverage check."""
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    wx = cx + reg.gsd * (du * cos_t - dv * sin_t)
+    wy = cy - reg.gsd * (du * sin_t + dv * cos_t)
+    return (wx - reg.origin[0]) / reg.gsd, (reg.origin[1] - wy) / reg.gsd
 
 
-def check_world_coverage(world: RasterImage, reg: GeoRegistration, grid: GridSpec) -> None:
-    """Raise ``CoverageError`` unless the raster covers the grid plus one half-window."""
-    west, south, east, north = required_world_bounds(grid, reg.gsd)
-    corners = np.array([[west, north], [east, north], [west, south], [east, south]])
-    p = reg.world_to_pixel(corners)
-    if (
-        p[:, 0].min() < 0
-        or p[:, 1].min() < 0
-        or p[:, 0].max() > world.width - 1
-        or p[:, 1].max() > world.height - 1
-    ):
-        raise CoverageError(
-            f"world raster {world.width}x{world.height} does not cover the grid "
-            f"extent plus one observation half-window margin"
-        )
+def _in_raster(px: np.ndarray, py: np.ndarray, width: int, height: int) -> bool:
+    """Whether every sample lies on a ``width`` x ``height`` raster; False
+    for a NaN sample."""
+    return bool(px.min() >= 0.0 and py.min() >= 0.0 and px.max() <= width - 1 and py.max() <= height - 1)
+
+
+def check_world_coverage(width: int, height: int, reg: GeoRegistration, grid: GridSpec) -> None:
+    """Raise ``CoverageError`` unless a ``width`` x ``height`` raster under
+    ``reg`` renders every landmark's unperturbed frame: the render's own
+    mapping and bounds test at the frame corners of the two extreme
+    landmarks (at heading 0 a pixel coordinate grows with its landmark's
+    column and falls with its row, so those bound every other frame)."""
+    du, dv = _OBS_DU[[0, -1]], _OBS_DV[[0, -1]]
+    for lid in (LandmarkId(0, 0), LandmarkId(grid.cols - 1, grid.rows - 1)):
+        x, y = landmark_position(grid, lid)
+        if not _in_raster(*_frame_pixels(reg, x, y, 0.0, du, dv), width, height):
+            raise CoverageError(
+                f"world raster {width}x{height} cannot render the frame of landmark "
+                f"({lid.col},{lid.row})"
+            )
 
 
 def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell_px: int) -> np.ndarray:
@@ -190,15 +200,12 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
     spacing, and gsd every landmark lands on an integer pixel, which keeps
     descriptor crops and identity renders bit-exact.
     """
-    half_w, half_h = half_window_m(spec.gsd)
-    if spec.margin_x_m < half_w or spec.margin_y_m < half_h:
-        raise CoverageError(
-            f"world margins ({spec.margin_x_m}, {spec.margin_y_m}) m are smaller than the "
-            f"observation half-window ({half_w}, {half_h}) m"
-        )
     ex, ey = grid.extent
-    width_px, height_px = (ex + 2 * spec.margin_x_m) / spec.gsd, (ey + 2 * spec.margin_y_m) / spec.gsd
-    if width_px * height_px > MAX_WORLD_PIXELS:  # also when a side overflows to inf
+    # a negative side is an empty world, which the coverage check rejects
+    width_px, height_px = (
+        max(0.0, (e + 2 * m) / spec.gsd) for e, m in ((ex, spec.margin_x_m), (ey, spec.margin_y_m))
+    )
+    if not width_px * height_px <= MAX_WORLD_PIXELS:  # also when a side overflows to inf, or 0 x inf
         raise ConfigError(
             f"a {width_px:.3g}x{height_px:.3g} px world exceeds the {MAX_WORLD_PIXELS:,} px bound"
         )
@@ -207,6 +214,7 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
         gsd=spec.gsd,
         origin=(grid.origin[0] - spec.margin_x_m, grid.origin[1] + ey + spec.margin_y_m),
     )
+    check_world_coverage(width, height, reg, grid)
 
     rng = np.random.default_rng(spec.seed)
     gray = np.full((height, width), 96.0)
@@ -222,9 +230,7 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
         tint = gray * (lo + (hi - lo) * _value_noise(rng, gray.shape, 192))
         pixels[:, :, ch] = np.rint(np.clip(tint, 0.0, 255.0, out=tint), out=tint)
 
-    world = RasterImage(pixels=pixels)
-    check_world_coverage(world, reg, grid)
-    return world, reg
+    return RasterImage(pixels=pixels), reg
 
 
 def landmark_descriptor_image(
@@ -245,11 +251,6 @@ def landmark_descriptor_image(
             f"descriptor window for landmark ({lid.col},{lid.row}) falls outside the world raster"
         )
     return RasterImage(pixels=world.pixels[y0:y0 + OBS_HEIGHT, x0:x0 + OBS_WIDTH].copy())
-
-
-# view-frame column and row offsets of each pixel from the frame center
-_OBS_DU = np.arange(OBS_WIDTH, dtype=np.float64) - OBS_WIDTH / 2.0
-_OBS_DV = (np.arange(OBS_HEIGHT, dtype=np.float64) - OBS_HEIGHT / 2.0)[:, None]
 
 
 def _bilinear(world: RasterImage, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -332,18 +333,8 @@ def render_observation(
         cx += radius * math.cos(phi)
         cy += radius * math.sin(phi)
 
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    wx = cx + reg.gsd * (_OBS_DU * cos_t - _OBS_DV * sin_t)
-    wy = cy - reg.gsd * (_OBS_DU * sin_t + _OBS_DV * cos_t)
-    px = (wx - reg.origin[0]) / reg.gsd
-    py = (reg.origin[1] - wy) / reg.gsd
-
-    if not (
-        px.min() >= 0.0
-        and py.min() >= 0.0
-        and px.max() <= world.width - 1
-        and py.max() <= world.height - 1
-    ):
+    px, py = _frame_pixels(reg, cx, cy, theta, _OBS_DU, _OBS_DV)
+    if not _in_raster(px, py, world.width, world.height):
         raise CoverageError(
             f"observation footprint at ({cx:.1f}, {cy:.1f}) m, heading {theta:.3f} rad "
             f"exceeds the world raster"

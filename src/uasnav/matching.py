@@ -1,5 +1,6 @@
 """Landmark recognition: keypoints, descriptors, correspondence matching,
-robust affine estimation, and the center-distance arrival test.
+robust affine estimation, and the center distance that the arrival gate
+(``navigator.gate``) reads.
 
 The pipeline is classical and fully seed-deterministic: a Harris-style
 corner detector with non-maximum suppression, an upright 128-dim gradient
@@ -463,10 +464,6 @@ def _fit_pairs(
 ) -> MatchResult:
     """The robust affine and center distance of ``match_images``, from the
     mutual pairs it matched."""
-    affine = None
-    mask = None
-    inliers = 0
-    cdist = None
     if len(pairs) >= 3:
         try:
             affine, mask = estimate_affine_ransac(
@@ -476,18 +473,11 @@ def _fit_pairs(
                 iterations=params.ransac_iterations,
                 rng_seed=params.rng_seed,
             )
-            inliers = int(mask.sum())
             cdist = center_distance(affine, observation.image_size, candidate.image_size, gsd)
+            return MatchResult(target, pairs, int(mask.sum()), affine, cdist, inlier_mask=mask)
         except DegenerateGeometryError:
-            affine, mask, inliers, cdist = None, None, 0, None
-    return MatchResult(
-        target=target,
-        pairs=pairs,
-        inliers=inliers,
-        affine=affine,
-        center_distance_m=cdist,
-        inlier_mask=mask,
-    )
+            pass
+    return MatchResult(target, pairs, inliers=0, affine=None, center_distance_m=None)
 
 
 def rank_neighbors(results: list[MatchResult]) -> list[MatchResult]:

@@ -118,7 +118,7 @@ class LandmarkLibrary:
 def expected_landmark(grid: GridSpec, current: LandmarkId, action: Action) -> LandmarkId:
     """The 4-neighbor in the commanded direction; commanding into a wall is
     a policy-validation failure, not a navigation outcome."""
-    nbr = neighbors(grid, current)[action]
+    nbr = neighbors(grid, current).get(action)
     if nbr is None:
         raise PolicyInconsistencyError(
             f"policy commands {action.token} off the grid at ({current.col},{current.row})"
@@ -286,8 +286,7 @@ def run_mission(
                     # attempt's match of the target
                     rec.arrival = target
                     rec.confirmed = target_ranks_first(
-                        obs_set, res, [nid for nid in neighbors(grid, cell).values() if nid is not None],
-                        library.get, attempt_params, reg.gsd,
+                        obs_set, res, neighbors(grid, cell).values(), library.get, attempt_params, reg.gsd
                     )
                     return None
                 if verdict is Gate.CLOSING_IN and res.center_distance_m < best_cd:
@@ -359,12 +358,14 @@ def export_trajectory(
         p = reg.world_to_pixel(np.array([x_m, y_m]))
         return float(p[0]) * scale, float(p[1]) * scale
 
+    track = reg.world_to_pixel(np.array([(r.x, r.y) for r in log.records]).reshape(-1, 2)) * scale
+
     body = [svgplot.image_panel(small, 0, 0)]
     for lid in grid.all_landmarks():
         pos = landmark_position(grid, lid)
         x, y = to_svg(pos[0], pos[1])
         body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="none" stroke="#ffcf40" stroke-width="1"/>')
-    pts = " ".join(f"{to_svg(r.x, r.y)[0]:.2f},{to_svg(r.x, r.y)[1]:.2f}" for r in log.records)
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in track)
     if pts:
         body.append(f'<polyline points="{pts}" fill="none" stroke="#00d0ff" stroke-width="1.5"/>')
     for ev in log.arrivals:

@@ -519,6 +519,19 @@ class TestCliBuildEnvAndFly:
         assert (out / "world.ppm").read_bytes() == (built / "world.ppm").read_bytes()
         assert (out / "world.json").read_bytes() == (built / "world.json").read_bytes()
 
+    def test_build_env_accepts_half_window_margins(self, tmp_path, capsys):
+        # exactly the half window: every landmark's frame still renders
+        code = main([
+            "build-env",
+            "--set", f"run.output_dir={tmp_path}",
+            "--set", "imagery.margin_x_m=80",
+            "--set", "imagery.margin_y_m=60",
+        ])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 0
+        assert last.startswith("status=ok")
+        assert read_pnm(tmp_path / "world.ppm").width == 2080
+
     @pytest.mark.parametrize("gsd", ["1e-9", "0.005"])
     def test_build_env_rejects_oversized_world(self, tmp_path, capsys, gsd):
         # both worlds exceed the pixel bound by far; neither is allocated

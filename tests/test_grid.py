@@ -103,21 +103,20 @@ class TestStep:
 class TestNeighbors:
     def test_corner(self, grid):
         n = neighbors(grid, LandmarkId(0, 0))
-        assert n[Action.FORWARD] == LandmarkId(0, 1)
-        assert n[Action.RIGHT] == LandmarkId(1, 0)
-        assert n[Action.BACKWARD] is None
-        assert n[Action.LEFT] is None
+        assert n == {Action.FORWARD: LandmarkId(0, 1), Action.RIGHT: LandmarkId(1, 0)}
+        assert list(n) == [Action.FORWARD, Action.RIGHT]  # Action order
+        assert Action.BACKWARD not in n and Action.LEFT not in n
 
     def test_interior(self, grid):
         n = neighbors(grid, LandmarkId(5, 5))
-        assert all(v is not None for v in n.values())
+        assert list(n) == list(Action)
+        assert None not in n.values()
 
     def test_other_corner(self, grid):
         n = neighbors(grid, LandmarkId(9, 0))
-        assert n[Action.FORWARD] == LandmarkId(9, 1)
-        assert n[Action.LEFT] == LandmarkId(8, 0)
-        assert n[Action.RIGHT] is None
-        assert n[Action.BACKWARD] is None
+        assert n == {Action.FORWARD: LandmarkId(9, 1), Action.LEFT: LandmarkId(8, 0)}
+        assert list(n) == [Action.FORWARD, Action.LEFT]
+        assert Action.RIGHT not in n and Action.BACKWARD not in n
 
 
 class TestRandomStart:

@@ -19,10 +19,8 @@ from uasnav.imagery import (
     _value_noise,
     build_world,
     check_world_coverage,
-    half_window_m,
     landmark_descriptor_image,
     render_observation,
-    required_world_bounds,
 )
 from uasnav.matching import detect_keypoints
 from uasnav.raster import GeoRegistration, RasterImage, to_gray
@@ -44,6 +42,10 @@ def _reference_value_noise(rng, shape, cell_px):
         indexing="ij",
     )
     return map_coordinates(coarse, [yy, xx], order=1, mode="nearest")
+
+
+def _no_synthesis(*args):
+    raise AssertionError("a world that fails the coverage check was synthesized")
 
 
 class TestBuildWorld:
@@ -89,17 +91,6 @@ class TestBuildWorld:
         with pytest.raises(ValueError, match="gsd" if field == "gsd" else "margins"):
             WorldSpec(**{field: value})
 
-    def test_extent_covers_grid_plus_half_window(self, world_and_reg, grid):
-        world, reg = world_and_reg
-        # derived bound: (360 + 160 m) x (270 + 120 m) at 0.25 m/px
-        assert world.width >= 2080
-        assert world.height >= 1560
-        west, south, east, north = required_world_bounds(grid, reg.gsd)
-        p = reg.world_to_pixel(np.array([[west, north], [east, south]]))
-        assert p.min() >= 0
-        assert p[:, 0].max() <= world.width - 1
-        assert p[:, 1].max() <= world.height - 1
-
     def test_synthesis_is_deterministic(self, world_and_reg, grid):
         world, reg = world_and_reg
         again, reg2 = build_world(grid, WorldSpec())
@@ -118,19 +109,73 @@ class TestBuildWorld:
         with pytest.raises(ConfigError, match="px bound"):
             build_world(grid, WorldSpec(gsd=gsd))
 
-    def test_margin_smaller_than_half_window_rejected(self, grid):
+    def test_margin_smaller_than_half_window_rejected(self, grid, monkeypatch):
+        monkeypatch.setattr("uasnav.imagery._value_noise", _no_synthesis)
         with pytest.raises(CoverageError):
             build_world(grid, WorldSpec(margin_x_m=10.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("margin_x_m", v) for v in (79.75, -1000.0, -5000.0)]
+        + [("margin_y_m", v) for v in (10.0, 59.75, -1000.0, -5000.0)],
+    )
+    def test_margin_short_of_the_frame_rejected_before_synthesis(self, grid, monkeypatch, field, value):
+        # as margin_x_m=10 above: one pixel short of the half window, or a
+        # negative side, is a coverage error, and no such world is synthesized
+        monkeypatch.setattr("uasnav.imagery._value_noise", _no_synthesis)
+        with pytest.raises(CoverageError):
+            build_world(grid, WorldSpec(**{field: value}))
+
+    def test_half_window_margins_build(self, grid):
+        # the frame samples offsets -320..+319 and -240..+239 px, so margins
+        # of exactly the half window leave one spare column and row
+        world, reg = build_world(grid, WorldSpec(margin_x_m=80.0, margin_y_m=60.0))
+        assert (world.width, world.height) == (2080, 1560)
+        for lid in grid.all_landmarks():
+            crop = landmark_descriptor_image(world, reg, grid, lid)
+            frame = render_observation(world, reg, Pose(*landmark_position(grid, lid)))
+            assert np.array_equal(frame, to_gray(crop).astype(np.float32))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        spacing=st.tuples(st.floats(5.0, 60.0), st.floats(5.0, 60.0)),
+        origin=st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)),
+        gsd=st.floats(0.05, 1.0),
+        slack_px=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    def test_coverage_check_is_the_render_rule(self, shape, spacing, origin, gsd, slack_px):
+        # margins within one pixel of the half window, sized as build_world sizes them
+        grid = GridSpec(cols=shape[0], rows=shape[1], spacing_x=spacing[0], spacing_y=spacing[1], origin=origin)
+        mx, my = (OBS_WIDTH / 2 + slack_px[0]) * gsd, (OBS_HEIGHT / 2 + slack_px[1]) * gsd
+        ex, ey = grid.extent
+        width, height = math.ceil((ex + 2 * mx) / gsd), math.ceil((ey + 2 * my) / gsd)
+        reg = GeoRegistration(gsd=gsd, origin=(origin[0] - mx, origin[1] + ey + my))
+        world = RasterImage(np.zeros((height, width), dtype=np.uint8))
+
+        def renders(lid):
+            try:
+                render_observation(world, reg, Pose(*landmark_position(grid, lid)))
+            except CoverageError:
+                return False
+            return True
+
+        try:
+            check_world_coverage(width, height, reg, grid)
+            covered = True
+        except CoverageError:
+            covered = False
+        assert covered == all(renders(lid) for lid in grid.all_landmarks())
 
     def test_ingest_coverage_check(self, grid):
         small = RasterImage(np.zeros((100, 100, 3), dtype=np.uint8))
         reg = GeoRegistration(gsd=0.25, origin=(-100.0, 350.0))
         with pytest.raises(CoverageError):
-            check_world_coverage(small, reg, grid)
+            check_world_coverage(small.width, small.height, reg, grid)
 
     def test_ingest_accepts_valid_world(self, world_and_reg, grid):
         world, reg = world_and_reg
-        check_world_coverage(world, reg, grid)
+        check_world_coverage(world.width, world.height, reg, grid)
 
 
 class TestDescriptorImage:
@@ -428,7 +473,3 @@ class TestRenderObservation:
     def test_non_finite_perturbation_rejected(self, field, value):
         with pytest.raises(ValueError):
             PerturbationSpec(**{field: value})
-
-
-def test_half_window_values():
-    assert half_window_m(0.25) == (80.0, 60.0)
