@@ -205,7 +205,9 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
     width_px, height_px = (
         max(0.0, (e + 2 * m) / spec.gsd) for e, m in ((ex, spec.margin_x_m), (ey, spec.margin_y_m))
     )
-    if not width_px * height_px <= MAX_WORLD_PIXELS:  # also when a side overflows to inf, or 0 x inf
+    # each side as well as the area, so that 0 x (a huge side) never reaches
+    # the coverage check's frame mapping; also when a side overflows to inf
+    if not max(width_px, height_px, width_px * height_px) <= MAX_WORLD_PIXELS:
         raise ConfigError(
             f"a {width_px:.3g}x{height_px:.3g} px world exceeds the {MAX_WORLD_PIXELS:,} px bound"
         )

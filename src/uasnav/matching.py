@@ -1,6 +1,7 @@
 """Landmark recognition: keypoints, descriptors, correspondence matching,
-robust affine estimation, and the center distance that the arrival gate
-(``navigator.gate``) reads.
+robust affine estimation, the center distance that the arrival gate
+(``navigator.gate``) reads, and the along-track distance on which the
+flight schedules its renders.
 
 The pipeline is classical and fully seed-deterministic: a Harris-style
 corner detector with non-maximum suppression, an upright 128-dim gradient
@@ -426,6 +427,15 @@ def _residuals(src: np.ndarray, dst: np.ndarray, params: np.ndarray) -> np.ndarr
     return np.sqrt(dx * dx + dy * dy)
 
 
+def _center_offset_px(
+    affine: AffineTransform, query_size: tuple[int, int], train_size: tuple[int, int]
+) -> np.ndarray:
+    """The query center mapped into the train image, less the train center, in train pixels."""
+    qc = np.array([query_size[0] / 2.0, query_size[1] / 2.0])
+    tc = np.array([train_size[0] / 2.0, train_size[1] / 2.0])
+    return affine.apply(qc[None])[0] - tc
+
+
 def center_distance(
     affine: AffineTransform,
     query_size: tuple[int, int],
@@ -433,9 +443,22 @@ def center_distance(
     gsd: float,
 ) -> float:
     """Metric distance between the mapped query center and the train center."""
-    qc = np.array([query_size[0] / 2.0, query_size[1] / 2.0])
-    tc = np.array([train_size[0] / 2.0, train_size[1] / 2.0])
-    return float(np.linalg.norm(affine.apply(qc[None])[0] - tc) * gsd)
+    return float(np.linalg.norm(_center_offset_px(affine, query_size, train_size)) * gsd)
+
+
+def along_track_m(
+    affine: AffineTransform,
+    query_size: tuple[int, int],
+    train_size: tuple[int, int],
+    gsd: float,
+    direction: tuple[float, float],
+) -> float:
+    """How far the query center still has to fly along the unit world
+    vector ``direction`` (east, north) to come abeam of the train center:
+    the train center less the mapped query center, in meters (pixel rows
+    grow southward), projected on ``direction``. Negative past abeam."""
+    east, south = _center_offset_px(affine, query_size, train_size) * gsd
+    return float(south * direction[1] - east * direction[0])
 
 
 def match_images(

@@ -26,6 +26,7 @@ from .matching import (
     DescriptorSet,
     MatchParams,
     MatchResult,
+    along_track_m,
     build_descriptor_set,
     match_images,
     target_ranks_first,
@@ -135,6 +136,11 @@ class Gate(Enum):
     CLOSING_IN = "closing_in"
     CLOSEST_APPROACH = "closest_approach"
 
+    @property
+    def solid(self) -> bool:
+        """A model with at least ``min_inliers`` inliers: its reading is trusted."""
+        return self not in (Gate.NO_MODEL, Gate.FEW_INLIERS)
+
 
 def gate(
     res: MatchResult, best_cd: float, flown_since_best: float, sample_floor: float, params: MatchParams
@@ -160,6 +166,15 @@ def gate(
     return Gate.CLOSING_IN
 
 
+def reading_error_bound_m(perturbation: PerturbationSpec, params: MatchParams, gsd: float) -> float:
+    """How far a solid match's along-track reading may stray from the true
+    along-track distance of the unjittered pose: the render's center moves
+    at most ``translation_jitter`` (its radius is drawn up to that bound),
+    and the fitted affine maps the view center within the inlier tolerance,
+    ``inlier_tol_px`` pixels."""
+    return perturbation.translation_jitter + params.inlier_tol_px * gsd
+
+
 def run_mission(
     world: RasterImage,
     reg: GeoRegistration,
@@ -172,12 +187,18 @@ def run_mission(
     Each tick advances the pose by ``control_step_m`` along the commanded
     cardinal direction. Every ``observation_period`` ticks an observation is
     rendered and matched against the expected landmark, unless the leg's
-    latest solid match, less the distance flown since, still puts the
-    landmark beyond ``distance_threshold_m`` plus one sampling interval:
-    that prediction bounds the true distance from below, so such a render
-    is not expected to pass the gate. The ``gate`` verdict alone decides
-    each attempt: a solid one re-anchors the prediction, CLOSING_IN keeps
-    the leg's smallest distance, CLOSEST_APPROACH arrives. Before takeoff
+    prediction exceeds the margin. The prediction is the along-track
+    distance to the landmark that the leg's latest solid match read
+    (``along_track_m``: the view center's offset projected on the commanded
+    direction), less the distance flown since; the margin is one sampling
+    interval plus ``reading_error_bound_m``, so a skipped tick is truly
+    more than one interval before abeam and a leg's first render comes
+    before it. At an arrival short of the goal, the arrival frame is
+    matched once against the next target with the arrival's RANSAC seed;
+    a solid match seeds the next leg's prediction, so that leg makes no far
+    render. The ``gate`` verdict alone decides each attempt, on the 2-D
+    center distance: a solid one re-anchors the prediction, CLOSING_IN
+    keeps the leg's smallest distance, CLOSEST_APPROACH arrives. Before takeoff
     the policy is walked once, from the start to the goal or to the first
     repeated cell, and each leg's target is described; a route cell without
     a policy entry or with a command off the grid raises
@@ -218,8 +239,11 @@ def run_mission(
 
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
     sample_floor = min(cfg.control_step_m * cfg.observation_period, params.distance_threshold_m)
-    # a prediction above this margin cannot pass the gate by the next attempt
-    margin = params.distance_threshold_m + cfg.control_step_m * cfg.observation_period
+    # a prediction above this margin is truly more than one sampling
+    # interval before abeam, so the next attempt still comes before it
+    margin = cfg.control_step_m * cfg.observation_period + reading_error_bound_m(
+        cfg.perturbation, params, reg.gsd
+    )
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     records: list[TickRecord] = []
@@ -234,9 +258,16 @@ def run_mission(
             nearest_miss_m=nearest_miss,
         )
 
-    def fly_leg(cell: LandmarkId) -> MissionLog | None:
-        """Fly the leg from ``cell`` on from the current pose: None once its
-        target is reached, else the log of the mission that ends on it."""
+    def along_track(res: MatchResult, obs_set: DescriptorSet, action: Action) -> float:
+        """The along-track distance to ``res.target`` that a solid match reads."""
+        train_size = library.get(res.target).image_size
+        return along_track_m(res.affine, obs_set.image_size, train_size, reg.gsd, action.displacement)
+
+    def fly_leg(cell: LandmarkId, reach: float) -> MissionLog | float:
+        """Fly the leg from ``cell`` on from the current pose; ``reach`` is
+        the travel at which the arrival frame puts the target abeam, -inf
+        without a solid seed match. Once the target is reached, returns the
+        next leg's ``reach``; else the log of the mission that ends on it."""
         nonlocal pose
         action, target = legs[cell]
         target_pos = landmark_position(grid, target)
@@ -248,9 +279,6 @@ def run_mission(
         min_true = math.inf
         # smallest closing-in center distance this leg, and the travel then
         best_cd, best_at = math.inf, 0.0
-        # travel at which the leg's latest solid match puts the landmark
-        # (its distance plus the travel then); -inf before one
-        reach = -math.inf
 
         while travelled < leg_budget:
             if len(records) >= cfg.max_ticks:
@@ -261,9 +289,8 @@ def run_mission(
             rec = TickRecord(tick=len(records) + 1, x=float(pose[0]), y=float(pose[1]), action=action)
             records.append(rec)
 
-            # reach - travelled, the measured distance minus the distance flown
-            # since, bounds the true distance from below: skip the render
-            # while it exceeds the margin
+            # reach - travelled is the predicted along-track distance: skip the
+            # render while it exceeds the margin
             if rec.tick % cfg.observation_period == 0 and reach - travelled <= margin:
                 try:
                     obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
@@ -279,8 +306,8 @@ def run_mission(
                 rec.inliers = res.inliers
                 rec.center_distance_m = res.center_distance_m
                 verdict = gate(res, best_cd, travelled - best_at, sample_floor, params)
-                if verdict not in (Gate.NO_MODEL, Gate.FEW_INLIERS):
-                    reach = travelled + res.center_distance_m
+                if verdict.solid:
+                    reach = travelled + along_track(res, obs_set, action)
                 if verdict is Gate.CLOSEST_APPROACH:
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
@@ -288,7 +315,17 @@ def run_mission(
                     rec.confirmed = target_ranks_first(
                         obs_set, res, neighbors(grid, cell).values(), library.get, attempt_params, reg.gsd
                     )
-                    return None
+                    if target == cfg.goal:
+                        return -math.inf
+                    # seed the next leg from this frame; its target was
+                    # described before takeoff
+                    next_action, next_target = legs[target]
+                    seed = match_images(
+                        obs_set, library.get(next_target), attempt_params, reg.gsd, target=next_target
+                    )
+                    if gate(seed, math.inf, 0.0, sample_floor, params).solid:
+                        return along_track(seed, obs_set, next_action)
+                    return -math.inf
                 if verdict is Gate.CLOSING_IN and res.center_distance_m < best_cd:
                     best_cd, best_at = res.center_distance_m, travelled
         # the leg overran: recognition failed if the craft passed near the landmark
@@ -296,12 +333,12 @@ def run_mission(
             return end(MissionOutcome.MATCH_FAILURE, min_true)
         return end(MissionOutcome.TIMEOUT)
 
-    cell = cfg.start
+    cell, reach = cfg.start, -math.inf
     while cell != cfg.goal:
-        ended = fly_leg(cell)
-        if ended is not None:
+        ended = fly_leg(cell, reach)
+        if isinstance(ended, MissionLog):
             return ended
-        cell = legs[cell][1]
+        cell, reach = legs[cell][1], ended
     return end(MissionOutcome.REACHED_GOAL)
 
 

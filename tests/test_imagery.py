@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestBuildWorld:
         assert (grid.extent[0] + 200.0) * (grid.extent[1] + 160.0) / 0.05**2 > MAX_WORLD_PIXELS
         with pytest.raises(ConfigError, match="px bound"):
             build_world(grid, WorldSpec(gsd=gsd))
+
+    def test_absurd_side_rejected_before_the_frame_mapping(self, grid):
+        # the x side clamps to 0 px, the y side is some 4e302 px: the area
+        # passes the bound, the side does not; no numpy warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"0x4\.3e\+302 px world exceeds"):
+                build_world(grid, WorldSpec(margin_x_m=-1e308, gsd=1e-300))
 
     def test_margin_smaller_than_half_window_rejected(self, grid, monkeypatch):
         monkeypatch.setattr("uasnav.imagery._value_noise", _no_synthesis)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
 from uasnav.grid import Action, LandmarkId, landmark_position, manhattan, neighbors
-from uasnav.imagery import PerturbationSpec
-from uasnav.matching import AffineTransform, MatchParams, MatchResult
+from uasnav.imagery import PerturbationSpec, Pose, render_observation
+from uasnav.matching import AffineTransform, MatchParams, MatchResult, along_track_m, build_descriptor_set
 from uasnav.navigator import (
     Gate,
     MissionConfig,
@@ -19,6 +19,7 @@ from uasnav.navigator import (
     export_trajectory,
     gate,
     read_mission_poses,
+    reading_error_bound_m,
     run_mission,
     write_mission_csv,
 )
@@ -27,9 +28,9 @@ from uasnav.policy import PolicyTable, greedy_policy, value_iteration
 # SHA-256 of the attempted ticks of the reference mission flown in
 # test_mission_is_deterministic. A change that alters perception numbers
 # on purpose updates this constant and says why.
-GOLDEN_MISSION_DIGEST = "e9e9f75bf34c602ef6aef138a9bb1af1a7e809f3c494a2ec9b3865fc44ac35bb"
+GOLDEN_MISSION_DIGEST = "e86ed70c538ac14382870870964648789eedeb8c5883d9d9a81b0b76993e6524"
 # SHA-256 of that mission's whole mission.csv: every pose as well as every attempt
-GOLDEN_MISSION_CSV_SHA256 = "910b0fdb18822eb0bb56cec0da2662828a805e155149138967eff6554425a790"
+GOLDEN_MISSION_CSV_SHA256 = "34015406f05c1beb3419d5fdc58ee34f0cc3075ea7bb6cd237e5a0c5a129c69f"
 GOLDEN_START = LandmarkId(5, 3)
 GOLDEN_PERTURBATION = PerturbationSpec(
     gain=1.1, bias=-8.0, noise_sigma=3.0, rotation_jitter=0.05, translation_jitter=2.0, rng_seed=31,
@@ -48,11 +49,40 @@ def _attempt_digest(log) -> str:
 
 
 @pytest.fixture(scope="module")
-def golden_mission(world_and_reg, grid, optimal_policy, goal, library):
-    """The reference mission, flown once for the tests that read its log."""
+def golden_flight(world_and_reg, grid, optimal_policy, goal, library):
+    """The reference mission, flown once for the tests that read its log,
+    with its ``("match" | "rank", observation, RANSAC seed, target result)``
+    calls recorded in order."""
     world, reg = world_and_reg
     cfg = MissionConfig(start=GOLDEN_START, goal=goal, policy=optimal_policy, perturbation=GOLDEN_PERTURBATION)
-    return cfg, run_mission(world, reg, grid, cfg, library=library)
+    calls = []
+    match_images, target_ranks_first = navigator.match_images, navigator.target_ranks_first
+
+    def recording_match(obs, train, params, *args, **kwargs):
+        res = match_images(obs, train, params, *args, **kwargs)
+        calls.append(("match", obs, params.rng_seed, res))
+        return res
+
+    def recording_rank(obs, res, candidates, lookup, params, gsd):
+        calls.append(("rank", obs, params.rng_seed, res))
+        return target_ranks_first(obs, res, candidates, lookup, params, gsd)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(navigator, "match_images", recording_match)
+        mp.setattr(navigator, "target_ranks_first", recording_rank)
+        log = run_mission(world, reg, grid, cfg, library=library)
+    return cfg, log, calls
+
+
+@pytest.fixture(scope="module")
+def golden_mission(golden_flight):
+    cfg, log, _ = golden_flight
+    return cfg, log
+
+
+def _leg_ticks(log, cfg, after, until):
+    """The observation-tick records after tick ``after`` up to ``until``."""
+    return [r for r in log.records[after:until] if r.tick % cfg.observation_period == 0]
 
 
 class TestExpectedLandmark:
@@ -461,6 +491,81 @@ class TestSchedule:
         for row in skipped:
             assert row["matches"] == row["inliers"] == row["center_distance_m"] == ""
 
+    def test_seeded_leg_renders_from_the_margin_on(self, world_and_reg, library, golden_flight):
+        # a leg seeded by a solid match of the arrival frame renders no tick
+        # until the seed's along-track reading, less the travel since, is
+        # within one sampling interval plus the reading-error bound
+        _, reg = world_and_reg
+        cfg, log, calls = golden_flight
+        params = cfg.match_params
+        margin = (
+            cfg.control_step_m * cfg.observation_period
+            + cfg.perturbation.translation_jitter
+            + params.inlier_tol_px * reg.gsd
+        )
+        assert margin == 4.75
+        seeds = [calls[i + 1][1:] for i, call in enumerate(calls[:-1]) if call[0] == "rank"]
+        assert len(seeds) == len(log.arrivals) - 1 >= 1
+        for arrival, (obs, _, seed), nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
+            assert seed.affine is not None and seed.inliers >= params.min_inliers
+            train_size = library.get(seed.target).image_size
+            reading = along_track_m(seed.affine, obs.image_size, train_size, reg.gsd, nxt.action.displacement)
+            ticks = _leg_ticks(log, cfg, arrival.tick, nxt.tick)
+            predicted = [reading - (r.tick - arrival.tick) * cfg.control_step_m for r in ticks]
+            first = next(i for i, r in enumerate(ticks) if r.attempted)
+            assert first > 0  # no far render
+            assert all(p > margin for p in predicted[:first])
+            assert predicted[first] <= margin
+
+    def test_leg_without_a_solid_seed_renders_every_period(
+        self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
+    ):
+        # the seed match and the next three attempts find no model: the leg
+        # renders every observation tick up to its first solid match
+        world, reg = world_and_reg
+        blind = []  # match calls still to be answered without a model
+        match_images, target_ranks_first = navigator.match_images, navigator.target_ranks_first
+
+        def ranking(*args):
+            blind[:] = [1] * 4
+            return target_ranks_first(*args)
+
+        def matching_blind(obs, train, params, gsd, target=None):
+            if blind:
+                blind.pop()
+                return MatchResult(target, np.zeros((0, 2), dtype=int), 0, None, None)
+            return match_images(obs, train, params, gsd, target=target)
+
+        monkeypatch.setattr(navigator, "target_ranks_first", ranking)
+        monkeypatch.setattr(navigator, "match_images", matching_blind)
+        cfg = MissionConfig(start=LandmarkId(4, 4), goal=goal, policy=optimal_policy)
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert log.outcome == MissionOutcome.REACHED_GOAL
+        first_leg, second_leg = log.arrivals
+        ticks = _leg_ticks(log, cfg, first_leg.tick, second_leg.tick)
+        solid = [r.inliers >= cfg.match_params.min_inliers for r in ticks]
+        assert solid.index(True) == 3
+        assert all(r.attempted for r in ticks[:4])
+        assert not all(r.attempted for r in ticks)  # the solid match re-anchors the prediction
+
+    def test_final_leg_gets_no_seed_match(self, golden_flight):
+        # one match per attempt, plus one seed match per arrival but the last
+        cfg, log, calls = golden_flight
+        assert calls[-1][0] == "rank"
+        matches = [call for call in calls if call[0] == "match"]
+        assert len(matches) == sum(r.attempted for r in log.records) + len(log.arrivals) - 1
+        assert log.arrivals[-1].arrival == cfg.goal
+
+    def test_seed_match_reuses_the_arrival_ransac_seed(self, golden_flight):
+        # the arrival frame is matched against the next leg's target with
+        # the seed of the arrival's attempt
+        _, log, calls = golden_flight
+        ranks = [i for i, call in enumerate(calls) if call[0] == "rank"]
+        for i, nxt in zip(ranks, log.arrivals[1:]):
+            (_, obs, seed, _), (kind, seed_obs, seed_seed, res) = calls[i], calls[i + 1]
+            assert kind == "match" and seed_obs is obs and seed_seed == seed
+            assert res.target == nxt.arrival
+
     def test_route_is_described_before_takeoff(self, world_and_reg, grid, optimal_policy, goal, monkeypatch):
         # with a cold library, as `uasnav fly` has, no attempt pays for its
         # target's descriptors; only an arrival's rivals are described in flight
@@ -535,6 +640,69 @@ class TestPerturbedArrivals:
         for rec in log.arrivals:
             pos = landmark_position(grid, rec.arrival)
             assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
+
+
+class TestReadingError:
+    """The along-track reading on which a leg's render schedule rests
+    (``navigator.reading_error_bound_m``)."""
+
+    def test_reading_is_within_the_bound(self, world_and_reg, grid, match_params, library):
+        # single attempts on random legs inside the envelope: rotation up to
+        # 10 degrees, the criterion-6 gain, bias and noise, up to 4 m of
+        # lateral drift, 0-40 m before the landmark
+        world, reg = world_and_reg
+        rng = np.random.default_rng(1806)
+        fit_bound = match_params.inlier_tol_px * reg.gsd
+        for jitter in (0.0, 2.0):
+            errors = []
+            for _ in range(30):
+                cell = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+                moves = list(neighbors(grid, cell).items())
+                action, target = moves[int(rng.integers(len(moves)))]
+                d = np.array(action.displacement, dtype=np.float64)
+                along = float(rng.uniform(0.0, grid.spacing_x if d[0] else grid.spacing_y))
+                pose = landmark_position(grid, target) - along * d + float(rng.uniform(-4.0, 4.0)) * d[::-1]
+                perturb = PerturbationSpec(
+                    gain=float(rng.uniform(0.7, 1.4)),
+                    bias=float(rng.uniform(-20.0, 20.0)),
+                    noise_sigma=float(rng.uniform(0.0, 5.0)),
+                    rotation_jitter=math.radians(10.0),
+                    translation_jitter=jitter,
+                    rng_seed=int(rng.integers(1 << 31)),
+                )
+                obs = build_descriptor_set(render_observation(world, reg, Pose(*pose), perturb), match_params)
+                train = library.get(target)
+                res = matching.match_images(obs, train, match_params, reg.gsd, target=target)
+                if not gate(res, math.inf, 0.0, 2.0, match_params).solid:
+                    continue
+                reading = along_track_m(res.affine, obs.image_size, train.image_size, reg.gsd, action.displacement)
+                errors.append(abs(reading - along))
+                assert errors[-1] <= reading_error_bound_m(perturb, match_params, reg.gsd)
+                assert errors[-1] <= jitter + fit_bound
+            assert len(errors) >= 27
+            if jitter:
+                # the jittered center strays beyond what the fit alone allows
+                assert max(errors) > fit_bound
+
+    def test_first_render_of_each_leg_comes_before_abeam(self, world_and_reg, grid, rewards, match_params, library):
+        # on the criterion-6 draw, whether seeded from the arrival frame or
+        # not, a leg renders for the first time before its landmark is abeam
+        world, reg = world_and_reg
+        legs = 0
+        for start, goal, perturb in _criterion_6_draw(grid):
+            cfg = MissionConfig(
+                start=start, goal=goal, policy=greedy_policy(value_iteration(grid, rewards, goal), grid),
+                perturbation=perturb, match_params=match_params,
+            )
+            log = run_mission(world, reg, grid, cfg, library=library)
+            assert log.outcome == MissionOutcome.REACHED_GOAL
+            departures = [0] + [r.tick for r in log.arrivals[:-1]]
+            for after, arrival in zip(departures, log.arrivals):
+                first = next(r for r in log.records[after:arrival.tick] if r.attempted)
+                true_along = (landmark_position(grid, arrival.arrival) - (first.x, first.y)) @ first.action.displacement
+                assert true_along > 0.0
+                legs += 1
+        assert legs == 122
 
 
 @pytest.fixture(scope="module")
