@@ -15,7 +15,7 @@ from uasnav.cli import main
 from uasnav.grid import LandmarkId, landmark_position, manhattan, neighbors, random_start
 from uasnav.imagery import PerturbationSpec, Pose, render_observation
 from uasnav.matching import build_descriptor_set, estimate_affine_ransac, match_images, rank_neighbors
-from uasnav.navigator import MissionConfig, MissionOutcome, run_mission
+from uasnav.navigator import MissionOutcome
 from uasnav.policy import (
     TrainConfig,
     UASNAV_REFERENCE_MEAN_STEPS,
@@ -25,7 +25,6 @@ from uasnav.policy import (
     optimal_expected_reward,
     oracle_agreement,
     train,
-    value_iteration,
 )
 
 CONVERGENCE_EPISODE_BUDGET = 200
@@ -161,35 +160,13 @@ def test_criterion_5_landmark_recognition_robustness(world_and_reg, grid, match_
     assert ok
 
 
-def test_criterion_6_end_to_end_missions(world_and_reg, grid, rewards, match_params, library, capsys):
-    world, reg = world_and_reg
-    rng = np.random.default_rng(814)
-    policies = {}
+def test_criterion_6_end_to_end_missions(criterion_6_flights, capsys):
+    # the 20 missions are drawn and flown, each timed, in the fixture
     good = 0
     worst_seconds = 0.0
     outcomes = []
-    for _ in range(20):
-        start = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
-        goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
-        while goal == start:
-            goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
-        if goal not in policies:
-            policies[goal] = greedy_policy(value_iteration(grid, rewards, goal), grid)
-        perturb = PerturbationSpec(
-            gain=float(rng.uniform(0.7, 1.4)),
-            bias=float(rng.uniform(-20.0, 20.0)),
-            noise_sigma=float(rng.uniform(0.0, 5.0)),
-            rotation_jitter=float(math.radians(rng.uniform(0.0, 5.0))),
-            translation_jitter=2.0,
-            rng_seed=int(rng.integers(1 << 31)),
-        )
-        cfg = MissionConfig(
-            start=start, goal=goal, policy=policies[goal],
-            perturbation=perturb, match_params=match_params,
-        )
-        t0 = time.time()
-        log = run_mission(world, reg, grid, cfg, library=library)
-        worst_seconds = max(worst_seconds, time.time() - t0)
+    for start, goal, log, seconds in criterion_6_flights:
+        worst_seconds = max(worst_seconds, seconds)
         hit = log.outcome == MissionOutcome.REACHED_GOAL and len(log.arrivals) == manhattan(start, goal)
         good += hit
         outcomes.append(log.outcome.value if not hit else "ok")
