@@ -252,7 +252,9 @@ def cmd_fly(args) -> int:
         )
     mission_cfg = cfg.mission_config(learned)
     world, reg = _resolve_world(cfg, grid)
-    log = navigator.run_mission(world, reg, grid, mission_cfg)
+    # the descriptor sets persist beside the landmark crops build-env wrote
+    library = navigator.LandmarkLibrary(world, reg, grid, mission_cfg.match_params, store=out / "landmarks")
+    log = navigator.run_mission(world, reg, grid, mission_cfg, library=library)
     out.mkdir(parents=True, exist_ok=True)
     navigator.export_trajectory(log, out / "mission.csv", out / "mission.svg", world, reg, grid)
     print(
@@ -260,6 +262,7 @@ def cmd_fly(args) -> int:
         f"attempts={sum(r.attempted for r in log.records)} "
         f"ticks={log.ticks} distance_m={log.distance_flown_m:.1f}"
         + (f" nearest_miss_m={log.nearest_miss_m:.2f}" if log.nearest_miss_m is not None else "")
+        + f" described={library.described} loaded={library.loaded}"
     )
     print(f"wrote {out / 'mission.csv'} and {out / 'mission.svg'}")
     print(f"status=ok outcome={log.outcome.value} arrivals={len(log.arrivals)}")

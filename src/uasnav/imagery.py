@@ -123,11 +123,14 @@ def check_world_coverage(width: int, height: int, reg: GeoRegistration, grid: Gr
     ``reg`` renders every landmark's unperturbed frame: the render's own
     mapping and bounds test at the frame corners of the two extreme
     landmarks (at heading 0 a pixel coordinate grows with its landmark's
-    column and falls with its row, so those bound every other frame)."""
+    column and falls with its row, so those bound every other frame). A
+    corner that overflows reads inf or NaN, which ``_in_raster`` rejects."""
     du, dv = _OBS_DU[[0, -1]], _OBS_DV[[0, -1]]
     for lid in (LandmarkId(0, 0), LandmarkId(grid.cols - 1, grid.rows - 1)):
         x, y = landmark_position(grid, lid)
-        if not _in_raster(*_frame_pixels(reg, x, y, 0.0, du, dv), width, height):
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners = _frame_pixels(reg, x, y, 0.0, du, dv)
+        if not _in_raster(*corners, width, height):
             raise CoverageError(
                 f"world raster {width}x{height} cannot render the frame of landmark "
                 f"({lid.col},{lid.row})"

@@ -13,11 +13,18 @@ departure cell's neighbors re-confirms which landmark was reached.
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
+import logging
 import math
+import os
+import zipfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import CoverageError, InvalidStateError, PolicyInconsistencyError
 from .grid import Action, GridSpec, LandmarkId, landmark_position, neighbors
@@ -33,7 +40,9 @@ from .matching import (
 )
 from .policy import PolicyTable
 from .raster import GeoRegistration, RasterImage, to_gray
-from . import svgplot
+from . import matching, raster, svgplot
+
+logger = logging.getLogger(__name__)
 
 
 LEG_SLACK_M = 10.0  # extra travel allowed past a landmark before giving up
@@ -99,21 +108,76 @@ class MissionLog:
         return [r for r in self.records if r.arrival is not None]
 
 
-class LandmarkLibrary:
-    """Lazy cache of per-landmark descriptor sets cut from the world raster."""
+@functools.cache
+def code_fingerprint() -> bytes:
+    """What a stored descriptor set rests on besides its crop and keypoint cap:
+    the sources that gray and describe the crop, and the numpy and scipy versions."""
+    sources = b"".join(Path(m.__file__).read_bytes() for m in (matching, raster))
+    return hashlib.sha256(sources + f"numpy {np.__version__} scipy {scipy.__version__}".encode()).digest()
 
-    def __init__(self, world: RasterImage, reg: GeoRegistration, grid: GridSpec, params: MatchParams):
+
+class LandmarkLibrary:
+    """Lazy cache of per-landmark descriptor sets cut from the world raster.
+    With a ``store`` directory, each set is also kept there as
+    ``lm_<col>_<row>.npz`` under the sha256 of ``code_fingerprint``, the
+    keypoint cap and the crop, for later processes to load; an entry without
+    that key, or that cannot be read, is described again and replaced."""
+
+    def __init__(
+        self, world: RasterImage, reg: GeoRegistration, grid: GridSpec, params: MatchParams, store=None
+    ):
         self.world = world
         self.reg = reg
         self.grid = grid
         self.params = params
+        self.store = store
+        self.described = self.loaded = 0  # sets made by a fill and read from the store
         self._cache: dict[LandmarkId, DescriptorSet] = {}
 
     def get(self, lid: LandmarkId) -> DescriptorSet:
         if lid not in self._cache:
             crop = landmark_descriptor_image(self.world, self.reg, self.grid, lid)
-            self._cache[lid] = build_descriptor_set(to_gray(crop), self.params)
+            found = path = None
+            if self.store is not None:
+                path = Path(self.store, f"lm_{lid.col}_{lid.row}.npz")
+                cap = f"{self.params.max_keypoints} {crop.pixels.shape}".encode()
+                key = hashlib.sha256(code_fingerprint() + cap + crop.pixels.tobytes()).hexdigest()
+                found = _load_entry(path, key, (crop.width, crop.height))
+            self.loaded += found is not None
+            if found is None:
+                found = build_descriptor_set(to_gray(crop), self.params)
+                self.described += 1
+                if path is not None:
+                    _save_entry(path, key, found)
+            self._cache[lid] = found
         return self._cache[lid]
+
+
+def _load_entry(path: Path, key: str, image_size: tuple[int, int]) -> DescriptorSet | None:
+    """The set stored at ``path``, if it holds ``key`` and well-formed arrays."""
+    try:
+        with np.load(path, allow_pickle=False) as entry:
+            kps, desc = entry["keypoints"], entry["descriptors"]
+            if str(entry["key"]) == key and kps.dtype == desc.dtype == np.float64 and (
+                kps.shape == (len(desc), 3) and desc.shape[1:] == (matching.DESCRIPTOR_DIM,)
+            ):
+                return DescriptorSet(keypoints=kps, descriptors=desc, image_size=image_size)
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        pass
+    return None
+
+
+def _save_entry(path: Path, key: str, desc: DescriptorSet) -> None:
+    """Write ``desc`` under ``key`` to a temp file, then move it into place;
+    a failed write only costs the next process a fill."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:  # a file handle: numpy adds no .npz suffix
+            np.savez(fh, key=key, keypoints=desc.keypoints, descriptors=desc.descriptors)
+        os.replace(tmp, path)
+    except OSError as exc:
+        logger.debug("landmark store entry %s not written: %s", path, exc)
+        tmp.unlink(missing_ok=True)
 
 
 def expected_landmark(grid: GridSpec, current: LandmarkId, action: Action) -> LandmarkId:

@@ -553,3 +553,57 @@ class TestCliBuildEnvAndFly:
         assert code == 2
         assert "ingest_raster" in captured.out
         assert not out.exists()
+
+
+class TestCliLandmarkStore:
+    """``fly`` keeps each landmark's descriptor set in ``<output_dir>/landmarks``
+    and reads it back on later runs without a change to its results."""
+
+    def _fly(self, out, policy_path, capsys, start=(4, 4)):
+        code = main([
+            "fly",
+            "--set", f"run.output_dir={out}",
+            "--policy", str(policy_path),
+            "--set", f"mission.start_col={start[0]}",
+            "--set", f"mission.start_row={start[1]}",
+        ])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        assert lines[-1].startswith("status=ok outcome=reached_goal")
+        mission = next(line for line in lines if line.startswith("mission:"))
+        counts = dict(field.split("=") for field in mission.split()[-2:])
+        return int(counts["described"]), int(counts["loaded"])
+
+    def _build(self, out, capsys, *overrides):
+        args = ["build-env", "--set", f"run.output_dir={out}"]
+        for override in overrides:
+            args += ["--set", override]
+        assert main(args) == 0
+        capsys.readouterr()
+
+    def test_warm_fly_repeats_the_cold_one_byte_for_byte(self, tmp_path, optimal_policy, capsys):
+        out = tmp_path / "env"
+        self._build(out, capsys)
+        save_policy(optimal_policy, tmp_path / "policy.txt")
+        described, loaded = self._fly(out, tmp_path / "policy.txt", capsys)
+        assert described > 0 and loaded == 0
+        cold = [(out / name).read_bytes() for name in ("mission.csv", "mission.svg")]
+        assert self._fly(out, tmp_path / "policy.txt", capsys) == (0, described)
+        assert [(out / name).read_bytes() for name in ("mission.csv", "mission.svg")] == cold
+        stored = sorted(p.name for p in (out / "landmarks").iterdir() if p.suffix != ".ppm")
+        assert len(stored) == described
+        assert all(name.endswith(".npz") for name in stored)  # no temp file is left behind
+
+    def test_rebuilt_world_flies_as_a_fresh_one(self, tmp_path, optimal_policy, capsys):
+        save_policy(optimal_policy, tmp_path / "policy.txt")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        self._build(reused, capsys)
+        described, _ = self._fly(reused, tmp_path / "policy.txt", capsys, start=(5, 4))
+        first = (reused / "mission.csv").read_bytes()
+        # another world in the same directory: every stored set is stale
+        self._build(reused, capsys, "imagery.seed=7")
+        assert self._fly(reused, tmp_path / "policy.txt", capsys, start=(5, 4)) == (described, 0)
+        self._build(fresh, capsys, "imagery.seed=7")
+        self._fly(fresh, tmp_path / "policy.txt", capsys, start=(5, 4))
+        assert (reused / "mission.csv").read_bytes() == (fresh / "mission.csv").read_bytes()
+        assert (reused / "mission.csv").read_bytes() != first

@@ -118,6 +118,17 @@ class TestBuildWorld:
             with pytest.raises(ConfigError, match=r"0x4\.3e\+302 px world exceeds"):
                 build_world(grid, WorldSpec(margin_x_m=-1e308, gsd=1e-300))
 
+    def test_denormal_gsd_is_a_coverage_error_without_warnings(self, grid):
+        # margins that cancel the grid extent clamp both sides to 0 px, and
+        # the corner mapping divides by a denormal gsd: the overflowed corners
+        # read inf, which the bounds test rejects without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoverageError, match="0x0"):
+                build_world(grid, WorldSpec(margin_x_m=-180.0, margin_y_m=-135.0, gsd=1e-310))
+            with pytest.raises(ConfigError, match="px bound"):
+                build_world(grid, WorldSpec(margin_x_m=-1e308, gsd=1e-300))
+
     def test_margin_smaller_than_half_window_rejected(self, grid, monkeypatch):
         monkeypatch.setattr("uasnav.imagery._value_noise", _no_synthesis)
         with pytest.raises(CoverageError):

@@ -13,6 +13,7 @@ from uasnav.imagery import PerturbationSpec, Pose, render_observation
 from uasnav.matching import AffineTransform, MatchParams, MatchResult, along_track_m, build_descriptor_set
 from uasnav.navigator import (
     Gate,
+    LandmarkLibrary,
     MissionConfig,
     MissionOutcome,
     expected_landmark,
@@ -733,3 +734,106 @@ class TestExport:
         assert "data:image/png;base64," in text
         assert "polyline" in text
         assert "goal (reached_goal)" in text
+
+
+STORE_LM = LandmarkId(4, 4)
+
+
+def _same_set(a, b) -> bool:
+    return (
+        np.array_equal(a.keypoints, b.keypoints)
+        and np.array_equal(a.descriptors, b.descriptors)
+        and a.image_size == b.image_size
+    )
+
+
+class TestLandmarkStore:
+    """``LandmarkLibrary`` with a ``store`` directory keeps each descriptor
+    set as ``lm_<col>_<row>.npz`` and loads it only under the same key."""
+
+    def _library(self, world_and_reg, grid, store, max_keypoints=500):
+        world, reg = world_and_reg
+        return LandmarkLibrary(world, reg, grid, MatchParams(max_keypoints=max_keypoints), store=store)
+
+    def test_second_library_loads_what_the_first_described(self, world_and_reg, grid, library, tmp_path):
+        first = self._library(world_and_reg, grid, tmp_path)
+        described = first.get(STORE_LM)
+        assert (first.described, first.loaded) == (1, 0)
+        assert first.get(STORE_LM) is described  # the in-memory cache still answers first
+        second = self._library(world_and_reg, grid, tmp_path)
+        loaded = second.get(STORE_LM)
+        assert (second.described, second.loaded) == (0, 1)
+        assert _same_set(loaded, described)
+        assert _same_set(loaded, library.get(STORE_LM))
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["lm_4_4.npz"]
+
+    def test_other_keypoint_cap_is_described_again(self, world_and_reg, grid, tmp_path):
+        full = self._library(world_and_reg, grid, tmp_path, max_keypoints=500).get(STORE_LM)
+        capped = self._library(world_and_reg, grid, tmp_path, max_keypoints=300)
+        got = capped.get(STORE_LM)
+        assert (capped.described, capped.loaded) == (1, 0)
+        fresh = self._library(world_and_reg, grid, None, max_keypoints=300).get(STORE_LM)
+        assert len(fresh) <= 300 < len(full)
+        assert _same_set(got, fresh)
+        # the rewritten entry now holds the 300-keypoint set
+        again = self._library(world_and_reg, grid, tmp_path, max_keypoints=300)
+        assert _same_set(again.get(STORE_LM), fresh)
+        assert again.loaded == 1
+
+    def test_changed_code_fingerprint_is_described_again(self, world_and_reg, grid, tmp_path, monkeypatch):
+        self._library(world_and_reg, grid, tmp_path).get(STORE_LM)
+        monkeypatch.setattr(navigator, "code_fingerprint", lambda: b"other describing code")
+        changed = self._library(world_and_reg, grid, tmp_path)
+        changed.get(STORE_LM)
+        assert (changed.described, changed.loaded) == (1, 0)
+        monkeypatch.undo()  # the entry now holds the other fingerprint's key
+        restored = self._library(world_and_reg, grid, tmp_path)
+        restored.get(STORE_LM)
+        assert (restored.described, restored.loaded) == (1, 0)
+
+    @pytest.mark.parametrize("damage", [
+        "truncate", "empty", "garbage", "npy", "no_descriptors", "float32", "short_rows", "wrong_width",
+    ])
+    def test_unreadable_entry_is_described_and_rewritten(self, world_and_reg, grid, library, tmp_path, damage):
+        self._library(world_and_reg, grid, tmp_path).get(STORE_LM)
+        entry = tmp_path / "lm_4_4.npz"
+        with np.load(entry) as stored:
+            arrays = dict(stored)
+        if damage == "truncate":
+            entry.write_bytes(entry.read_bytes()[:10])
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        elif damage == "garbage":
+            entry.write_bytes(b"not a zip archive at all")
+        elif damage == "npy":
+            with open(entry, "wb") as fh:
+                np.save(fh, arrays["descriptors"])
+        else:
+            if damage == "no_descriptors":
+                del arrays["descriptors"]
+            elif damage == "float32":
+                arrays["descriptors"] = arrays["descriptors"].astype(np.float32)
+            elif damage == "short_rows":
+                arrays["keypoints"] = arrays["keypoints"][:-1]
+            else:
+                arrays["descriptors"] = arrays["descriptors"][:, :64]
+            with open(entry, "wb") as fh:
+                np.savez(fh, **arrays)
+        repaired = self._library(world_and_reg, grid, tmp_path)
+        got = repaired.get(STORE_LM)
+        assert (repaired.described, repaired.loaded) == (1, 0)
+        assert _same_set(got, library.get(STORE_LM))
+        reread = self._library(world_and_reg, grid, tmp_path)
+        assert _same_set(reread.get(STORE_LM), got)
+        assert reread.loaded == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["lm_4_4.npz"]
+
+    def test_unwritable_store_still_flies(self, world_and_reg, grid, library, tmp_path, caplog):
+        missing = tmp_path / "no_such_dir"
+        lib = self._library(world_and_reg, grid, missing)
+        with caplog.at_level("DEBUG", logger="uasnav.navigator"):
+            got = lib.get(STORE_LM)
+        assert (lib.described, lib.loaded) == (1, 0)
+        assert _same_set(got, library.get(STORE_LM))
+        assert "not written" in caplog.text
+        assert not missing.exists()
