@@ -49,21 +49,6 @@ def _read_world(raster_path, sidecar_path, grid: GridSpec) -> tuple[RasterImage,
     return world, reg
 
 
-def _resolve_world(cfg: cfgmod.RunConfig, grid: GridSpec) -> tuple[RasterImage, GeoRegistration]:
-    """Use the built world files when present, else synthesize in memory."""
-    out = cfg.output_dir
-    raster_path = out / str(cfg["imagery"]["world_raster"])
-    sidecar_path = out / str(cfg["imagery"]["world_sidecar"])
-    if raster_path.exists() and sidecar_path.exists():
-        return _read_world(raster_path, sidecar_path, grid)
-    if cfg["imagery"]["mode"] == "synthetic":
-        return imagery.build_world(grid, cfg.world_spec())
-    raise ConfigError(
-        f"imagery mode is 'ingest' but {raster_path} / {sidecar_path} are missing; "
-        f"run build-env first to stage the ingested world"
-    )
-
-
 def _load_policy(args, cfg: cfgmod.RunConfig, grid: GridSpec) -> policymod.PolicyTable:
     """``--policy`` or ``<output_dir>/<mission.policy_file>``, on the configured grid."""
     path = Path(args.policy) if args.policy else cfg.output_dir / str(cfg["mission"]["policy_file"])
@@ -79,16 +64,11 @@ def _load_policy(args, cfg: cfgmod.RunConfig, grid: GridSpec) -> policymod.Polic
 def cmd_build_env(args) -> int:
     cfg = _load_run_config(args)
     grid = cfg.grid_spec()
-    if cfg["imagery"]["mode"] == "synthetic":
-        world, reg = imagery.build_world(grid, cfg.world_spec())
+    src_raster = str(cfg["imagery"]["ingest_raster"])
+    if src_raster:  # load_config has checked that the sidecar is set with it
+        world, reg = _read_world(src_raster, str(cfg["imagery"]["ingest_sidecar"]), grid)
     else:
-        src_raster = str(cfg["imagery"]["ingest_raster"])
-        src_sidecar = str(cfg["imagery"]["ingest_sidecar"])
-        if not src_raster or not src_sidecar:
-            raise ConfigError(
-                "[imagery] mode = ingest needs ingest_raster and ingest_sidecar paths"
-            )
-        world, reg = _read_world(src_raster, src_sidecar, grid)
+        world, reg = imagery.build_world(grid, cfg.world_spec())
 
     # only a world that was built or read gets an output directory
     out = cfg.output_dir
@@ -251,11 +231,14 @@ def cmd_fly(args) -> int:
             f"configured goal ({goal.col},{goal.row})"
         )
     mission_cfg = cfg.mission_config(learned)
-    world, reg = _resolve_world(cfg, grid)
+    raster_path = out / str(cfg["imagery"]["world_raster"])
+    sidecar_path = out / str(cfg["imagery"]["world_sidecar"])
+    if not (raster_path.exists() and sidecar_path.exists()):
+        raise ConfigError(f"no world staged at {raster_path} / {sidecar_path}; run build-env first")
+    world, reg = _read_world(raster_path, sidecar_path, grid)
     # the descriptor sets persist beside the landmark crops build-env wrote
     library = navigator.LandmarkLibrary(world, reg, grid, mission_cfg.match_params, store=out / "landmarks")
     log = navigator.run_mission(world, reg, grid, mission_cfg, library=library)
-    out.mkdir(parents=True, exist_ok=True)
     navigator.export_trajectory(log, out / "mission.csv", out / "mission.svg", world, reg, grid)
     print(
         f"mission: outcome={log.outcome.value} arrivals={len(log.arrivals)} "

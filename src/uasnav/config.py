@@ -65,12 +65,11 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "eval_seed": 23,
     },
     "imagery": {
-        "mode": "synthetic",  # synthetic | ingest
         "seed": (WorldSpec, "seed"),
         "gsd_m_per_px": (WorldSpec, "gsd"),
         "margin_x_m": (WorldSpec, "margin_x_m"),
         "margin_y_m": (WorldSpec, "margin_y_m"),
-        "ingest_raster": "",  # source files for mode = ingest
+        "ingest_raster": "",  # source files; build-env ingests when both are set
         "ingest_sidecar": "",
         "world_raster": "world.ppm",  # output names inside output_dir
         "world_sidecar": "world.json",
@@ -220,7 +219,8 @@ def parse_overrides(pairs: list[str]) -> dict[tuple[str, str], str]:
 
 
 def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
-    """Read, merge, validate; unknown sections, keys or imagery modes raise ConfigError."""
+    """Read, merge, validate; unknown sections or keys, or one ingest path
+    set without the other, raise ConfigError."""
     file_values: dict[str, dict[str, str]] = {}
     if path is not None:
         p = Path(path)
@@ -257,9 +257,9 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
                 values[section][key] = default
                 provenance.append(f"{section}.{key} = {default} (default)")
 
-    mode = values["imagery"]["mode"]
-    if mode not in ("synthetic", "ingest"):
-        raise ConfigError(f"[imagery]: mode must be 'synthetic' or 'ingest', got {mode!r}")
+    imagery = values["imagery"]
+    if bool(imagery["ingest_raster"]) != bool(imagery["ingest_sidecar"]):
+        raise ConfigError("[imagery]: ingest_raster and ingest_sidecar must be set together")
     return RunConfig(values=values, provenance=provenance)
 
 

@@ -11,6 +11,7 @@ reward constants).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -84,8 +85,10 @@ class GridSpec:
     def __post_init__(self):
         if self.cols < 2 or self.rows < 2:
             raise ValueError(f"grid needs at least 2x2 landmarks, got {self.cols}x{self.rows}")
-        if self.spacing_x <= 0 or self.spacing_y <= 0:
-            raise ValueError("landmark spacing must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in (self.spacing_x, self.spacing_y)):
+            raise ValueError("landmark spacing must be finite and positive")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
 
     @property
     def n_landmarks(self) -> int:

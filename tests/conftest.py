@@ -16,6 +16,7 @@ from uasnav.imagery import PerturbationSpec, WorldSpec, build_world
 from uasnav.matching import MatchParams
 from uasnav.navigator import LandmarkLibrary, MissionConfig, run_mission
 from uasnav.policy import greedy_policy, value_iteration
+from uasnav.raster import RasterImage
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,13 @@ def goal():
 @pytest.fixture(scope="session")
 def world_and_reg(grid):
     return build_world(grid, WorldSpec())
+
+
+@pytest.fixture(scope="session")
+def gray_world(world_and_reg):
+    """A one-channel world: the green plane of the default one."""
+    world, _ = world_and_reg
+    return RasterImage(np.ascontiguousarray(world.pixels[:, :, 1]))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import csv
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +13,8 @@ from uasnav.grid import Action, GridSpec, LandmarkId, RewardSpec
 from uasnav.imagery import PerturbationSpec, WorldSpec, landmark_descriptor_image
 from uasnav.matching import MatchParams
 from uasnav.navigator import MissionConfig
-from uasnav.policy import PolicyTable, TrainConfig, save_policy
-from uasnav.raster import read_pnm, write_pnm
+from uasnav.policy import PolicyTable, TrainConfig, greedy_policy, save_policy, value_iteration
+from uasnav.raster import RasterImage, read_pnm, write_pnm
 
 
 class TestConfig:
@@ -79,6 +80,17 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
+
+    def test_unparsable_file_rejected(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("cols = 10\n")  # a key before any section header
+        with pytest.raises(ConfigError, match="run.ini") as exc:
+            load_config(p)
+        assert "line: 1" in str(exc.value)
+
+    def test_override_in_unknown_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"override: unknown section \[flight\]"):
+            load_config(None, parse_overrides(["flight.speed=3"]))
 
     def test_reference_config_round_trips(self, tmp_path):
         p = tmp_path / "reference.ini"
@@ -204,6 +216,16 @@ class TestCliTrainEval:
             assert steps[-1]["terminal"] == row["reached_goal"]
         assert any(r["reached_goal"] == "0" for r in rows) == cyclic
 
+    def test_policy_on_another_grid_exits_2(self, tmp_path, capsys):
+        small = GridSpec(cols=3, rows=2)
+        policy = greedy_policy(value_iteration(small, RewardSpec(), LandmarkId(2, 1)), small)
+        save_policy(policy, tmp_path / "policy.txt")
+        code = main(["eval", "--set", f"run.output_dir={tmp_path}", "--policy", str(tmp_path / "policy.txt")])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "policy grid 3x2 does not match configured 10x10" in last
+
     def test_eval_missing_policy_is_runtime_error(self, tmp_path, capsys):
         code = main(["eval", "--set", f"run.output_dir={tmp_path}"])
         captured = capsys.readouterr()
@@ -327,6 +349,17 @@ class TestCliMatch:
         last = captured.out.strip().splitlines()[-1]
         assert last.startswith("status=error code=2")
         assert "[matching]" in last
+
+    def test_flat_observation_reports_no_model(self, image_pair, tmp_path, capsys):
+        # a flat image has no corners, so nothing matches and no affine is fitted
+        _, landmark = image_pair
+        flat = tmp_path / "flat.pgm"
+        write_pnm(RasterImage(np.full((480, 640), 128, dtype=np.uint8)), flat)
+        code = main(["match", "--obs", str(flat), "--landmark", str(landmark)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        assert lines[0] == "inliers=0 matches=0 center_distance_m=nan affine=none"
+        assert lines[-1] == "status=ok inliers=0 matches=0"
 
     def test_svg_visualization(self, image_pair, tmp_path, capsys):
         obs, landmark = image_pair
@@ -468,21 +501,24 @@ class TestCliBuildEnvAndFly:
         assert last.startswith("status=error code=2")
         assert "start_col" in last
 
-    def test_fly_rejects_unknown_imagery_mode(self, built, tmp_path, optimal_policy, capsys):
-        # the world files exist, so fly builds no world from the mode
-        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "imagery.mode=bogus")
+    def test_fly_without_staged_world_exits_2(self, tmp_path, optimal_policy, capsys):
+        # fly reads only the world build-env staged; it synthesizes none of its own
+        save_policy(optimal_policy, tmp_path / "policy.txt")
+        code = main(["fly", "--set", f"run.output_dir={tmp_path}", "--policy", str(tmp_path / "policy.txt")])
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 2
         assert last.startswith("status=error code=2")
-        assert "'bogus'" in last
+        assert "build-env" in last
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.txt"]
 
     def test_build_env_rejects_unknown_imagery_mode(self, tmp_path, capsys):
+        # ingest follows from the two ingest paths; a mode key is unknown
         out = tmp_path / "env"
-        code = main(["build-env", "--set", f"run.output_dir={out}", "--set", "imagery.mode=bogus"])
+        code = main(["build-env", "--set", f"run.output_dir={out}", "--set", "imagery.mode=ingest"])
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 2
         assert last.startswith("status=error code=2")
-        assert "'bogus'" in last
+        assert "'mode'" in last
         assert not out.exists()
 
     def test_fly_too_few_ticks_is_runtime_error(self, built, tmp_path, optimal_policy, capsys):
@@ -510,9 +546,9 @@ class TestCliBuildEnvAndFly:
         code = main([
             "build-env",
             "--set", f"run.output_dir={out}",
-            "--set", "imagery.mode=ingest",
             "--set", f"imagery.ingest_raster={built / 'world.ppm'}",
             "--set", f"imagery.ingest_sidecar={built / 'world.json'}",
+            "--set", "imagery.seed=7",  # a synthesized world would differ
         ])
         capsys.readouterr()
         assert code == 0
@@ -542,16 +578,19 @@ class TestCliBuildEnvAndFly:
         assert "px bound" in last
         assert not (tmp_path / "world.ppm").exists()
 
-    def test_ingest_without_sources_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["ingest_raster", "ingest_sidecar"])
+    def test_ingest_with_one_path_is_config_error(self, built, tmp_path, capsys, key):
         out = tmp_path / "env"
+        source = {"ingest_raster": "world.ppm", "ingest_sidecar": "world.json"}[key]
         code = main([
             "build-env",
             "--set", f"run.output_dir={out}",
-            "--set", "imagery.mode=ingest",
+            "--set", f"imagery.{key}={built / source}",
         ])
-        captured = capsys.readouterr()
+        last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 2
-        assert "ingest_raster" in captured.out
+        assert last.startswith("status=error code=2")
+        assert "ingest_raster" in last and "ingest_sidecar" in last
         assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,18 @@ class TestGeometry:
             GridSpec(cols=1)
         with pytest.raises(ValueError):
             GridSpec(spacing_x=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, match", [
+        (lambda v: GridSpec(spacing_x=v), "spacing"),
+        (lambda v: GridSpec(spacing_y=v), "spacing"),
+        (lambda v: GridSpec(origin=(v, 0.0)), "origin"),
+        (lambda v: GridSpec(origin=(0.0, v)), "origin"),
+    ], ids=["spacing_x", "spacing_y", "origin_x", "origin_y"])
+    def test_non_finite_geometry_rejected(self, make, match, value):
+        # NaN passes a plain ``<= 0`` check, so each check is written to fail it
+        with pytest.raises(ValueError, match=match):
+            make(value)
 
 
 class TestStep:

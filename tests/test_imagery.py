@@ -295,12 +295,6 @@ def _reference_render(world, reg, pose, perturb):
     return np.rint(np.clip(values, 0.0, 255.0)).astype(np.uint8)
 
 
-@pytest.fixture(scope="module")
-def gray_world(world_and_reg):
-    world, _ = world_and_reg
-    return RasterImage(np.ascontiguousarray(world.pixels[:, :, 1]))
-
-
 def _assert_near_reference(world, reg, pose, perturb):
     """The gray render is within half a gray level of the luminance of the
     RGB-era reference wherever no reference channel is clipped: the Rec. 601

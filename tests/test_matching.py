@@ -496,6 +496,19 @@ class TestArrivalCheck:
         assert not self._passes(res, 5.0, 30)
         assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.NO_MODEL
 
+    def test_collinear_matches_give_no_model(self):
+        # 20 mutual pairs whose keypoints all lie on one line: every RANSAC
+        # triple is degenerate, so the match has pairs but no model
+        n = 20
+        keypoints = np.column_stack([np.arange(n) * 10.0 + 40.0, np.full(n, 240.0), np.ones(n)])
+        dset = DescriptorSet(keypoints=keypoints, descriptors=np.eye(n, 128), image_size=(640, 480))
+        res = match_images(dset, dset, MatchParams(), gsd=0.25)
+        assert res.n_matches == n
+        assert res.affine is None
+        assert res.inliers == 0
+        assert res.center_distance_m is None
+        assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.NO_MODEL
+
     def test_few_inliers_fail_regardless_of_distance(self):
         res = self._result(10, 0.0)
         assert not self._passes(res, 5.0, 30)

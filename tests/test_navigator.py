@@ -1,6 +1,9 @@
+import base64
 import csv
 import hashlib
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
 from uasnav.grid import Action, LandmarkId, landmark_position, manhattan, neighbors
-from uasnav.imagery import PerturbationSpec, Pose, render_observation
+from uasnav.imagery import PerturbationSpec, Pose, WorldSpec, build_world, render_observation
 from uasnav.matching import AffineTransform, MatchParams, MatchResult, along_track_m, build_descriptor_set
 from uasnav.navigator import (
     Gate,
@@ -403,6 +406,24 @@ class TestMission:
         assert log.nearest_miss_m <= min(grid.spacing_x, grid.spacing_y) / 2.0
         assert log.arrivals == []
 
+    def test_footprint_leaving_raster_far_from_landmark_times_out(self, grid, rewards):
+        # half-window margins leave no room for a rotated footprint at the
+        # north edge: the first render of the leg fails, the leg overruns
+        # 2 ticks out, far from its landmark, and the mission is a TIMEOUT
+        world, reg = build_world(grid, WorldSpec(margin_x_m=80, margin_y_m=60))
+        goal = LandmarkId(1, 9)
+        cfg = MissionConfig(
+            start=LandmarkId(0, 9),
+            goal=goal,
+            policy=greedy_policy(value_iteration(grid, rewards, goal), grid),
+            perturbation=PerturbationSpec(rotation_jitter=0.05, rng_seed=1),
+        )
+        log = run_mission(world, reg, grid, cfg)
+        assert log.outcome == MissionOutcome.TIMEOUT
+        assert log.ticks == 2
+        assert log.nearest_miss_m is None
+        assert not any(r.attempted for r in log.records)
+
     def test_library_keypoint_cap_must_match_mission(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
         params = MatchParams(max_keypoints=library.params.max_keypoints + 1)
@@ -734,6 +755,21 @@ class TestExport:
         assert "data:image/png;base64," in text
         assert "polyline" in text
         assert "goal (reached_goal)" in text
+
+    def test_svg_overlay_of_gray_world_is_gray_png(self, mission_log, world_and_reg, gray_world, grid, tmp_path):
+        _, reg = world_and_reg
+        svg_path = tmp_path / "mission.svg"
+        export_trajectory(mission_log, tmp_path / "mission.csv", svg_path, world=gray_world, reg=reg, grid=grid)
+        png = base64.b64decode(svg_path.read_text().split('href="data:image/png;base64,')[1].split('"')[0])
+        # signature, then IHDR (length, tag, 13 data bytes, crc), then IDAT
+        width, height, depth, color_type = struct.unpack(">IIBB", png[16:26])
+        assert (depth, color_type) == (8, 0)
+        (idat_len,) = struct.unpack(">I", png[33:37])
+        assert png[37:41] == b"IDAT"
+        rows = np.frombuffer(zlib.decompress(png[41:41 + idat_len]), dtype=np.uint8).reshape(height, width + 1)
+        assert not rows[:, 0].any()  # no row filter
+        step = navigator._SVG_DOWNSAMPLE
+        assert np.array_equal(rows[:, 1:], gray_world.pixels[::step, ::step])
 
 
 STORE_LM = LandmarkId(4, 4)

@@ -272,6 +272,30 @@ class TestPolicyFile:
         with pytest.raises(PolicyFormatError, match="version"):
             load_policy(path)
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("\n  \n")
+        with pytest.raises(PolicyFormatError, match="empty policy file"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("lineno, edit, match", [
+        (1, lambda line: line.replace("; cols=", "; cols"), r"line 1: malformed header field 'cols10'"),
+        (1, lambda line: line.replace("rows=10", "rows=ten"), r"line 1: bad header fields"),
+        (1, lambda line: line.replace("goal=5,5", "goal=5"), r"line 1: bad header fields"),
+        (2, lambda line: line + ",right", r"line 2: expected 'col,row,action'"),
+        (2, lambda line: "a" + line, r"line 2: non-integer landmark index"),
+        (2, lambda line: line.replace("0,0,", "12,0,"), r"line 2: landmark \(12,0\) outside 10x10"),
+        (3, lambda line: line.replace("1,0,", "0,0,"), r"line 3: duplicate entry for \(0,0\)"),
+    ])
+    def test_malformed_line_is_named(self, optimal_policy, tmp_path, lineno, edit, match):
+        path = tmp_path / "policy.txt"
+        save_policy(optimal_policy, path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PolicyFormatError, match=match):
+            load_policy(path)
+
     def test_not_a_policy_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("hello\nworld\n")

@@ -68,6 +68,19 @@ def test_truncated_payload(tmp_path):
         read_pnm(path)
 
 
+@pytest.mark.parametrize("data, match", [
+    (b"P", "not a PNM file"),
+    (b"P5\n4 4", "bad PNM header: truncated PNM header"),
+    (b"P5\nfour 4\n255\n", "bad PNM header: invalid literal"),
+    (b"P5\n0 4\n255\n", "bad dimensions 0x4"),
+])
+def test_bad_header(tmp_path, data, match):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(RasterFormatError, match=match):
+        read_pnm(path)
+
+
 def test_raster_validation():
     with pytest.raises(ValueError):
         RasterImage(np.zeros((4, 4), dtype=np.float32))
