@@ -96,9 +96,12 @@ def cmd_train(args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    qtable, curve = policymod.train(grid, rewards, goal, train_cfg)
+    try:
+        qtable, curve = policymod.train(grid, rewards, goal, train_cfg)
+        oracle = policymod.value_iteration(grid, rewards, goal, gamma=train_cfg.discount)
+    except OverflowError as exc:
+        raise ConfigError(f"[rewards]: {exc}") from None
     learned = policymod.greedy_policy(qtable, grid)
-    oracle = policymod.value_iteration(grid, rewards, goal, gamma=train_cfg.discount)
     agreement = policymod.oracle_agreement(learned, oracle, grid)
     if train_cfg.episodes == 0:
         print("warning: episodes=0, action-values are all zero and the greedy policy is arbitrary")

@@ -131,8 +131,8 @@ class RewardSpec:
     def __post_init__(self):
         if not (self.goal_reward > 0 > self.collision_penalty):
             raise ValueError("goal reward must be positive and collision penalty negative")
-        if not self.step_penalty > self.collision_penalty:
-            raise ValueError("step penalty must be less severe than collision penalty")
+        if not self.collision_penalty < self.step_penalty < 0:
+            raise ValueError("step penalty must be negative and less severe than collision penalty")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 The craft moves at constant speed along the commanded cardinal direction
 and periodically renders a (perturbed) observation. Arrival at the expected
 next landmark is a perception event: the observation is matched against
-that landmark's descriptor image, and the landmark counts as reached at the
-shortest perceived center distance once the arrival gate has passed. The
-pose is never snapped to the lattice, so perception latency and jitter show
-up as honest drift; at each arrival a four-way ranking pass over the
-departure cell's neighbors re-confirms which landmark was reached.
+that landmark's descriptor image, and the landmark counts as reached when
+a solid match within the distance threshold reads it abeam, within half a
+sampling interval, or past it. The pose is never snapped to the lattice,
+so perception latency and jitter show up as honest drift; at each arrival
+a four-way ranking pass over the departure cell's neighbors re-confirms
+which landmark was reached.
 """
 
 from __future__ import annotations
@@ -206,37 +207,24 @@ class Gate(Enum):
         return self not in (Gate.NO_MODEL, Gate.FEW_INLIERS)
 
 
-def gate(
-    res: MatchResult, best_cd: float, flown_since_best: float, sample_floor: float, params: MatchParams
-) -> Gate:
-    """The whole arrival rule. A solid match (a model and at least
-    ``min_inliers`` inliers) is the CLOSEST_APPROACH when its center
-    distance is within one sampling interval (``sample_floor``, at most the
-    distance threshold), or when it has stopped shrinking since ``best_cd``,
-    the leg's smallest CLOSING_IN distance (``math.inf`` before one), and the
-    craft has flown ``best_cd`` less ``sample_floor`` since then
-    (``flown_since_best``): a jittered view can read long while the craft is
-    still closing in. Else it is TOO_FAR beyond ``distance_threshold_m``.
+def gate(res: MatchResult, along_m: float, half_interval: float, params: MatchParams) -> Gate:
+    """The whole arrival rule, on one match and its along-track reading
+    ``along_m`` (``along_track_m``; negative past abeam). A solid match (a
+    model and at least ``min_inliers`` inliers) is TOO_FAR beyond
+    ``distance_threshold_m``; within it, it is the CLOSEST_APPROACH once it
+    reads abeam within ``half_interval`` (half a sampling interval) or past
+    it, since on a straight leg abeam is the closest approach; else it is
+    CLOSING_IN.
     """
     if res.affine is None:
         return Gate.NO_MODEL
     if res.inliers < params.min_inliers:
         return Gate.FEW_INLIERS
-    cd = res.center_distance_m
-    if cd <= sample_floor or (cd >= best_cd and flown_since_best >= best_cd - sample_floor):
-        return Gate.CLOSEST_APPROACH
-    if cd > params.distance_threshold_m:
+    if res.center_distance_m > params.distance_threshold_m:
         return Gate.TOO_FAR
+    if along_m <= half_interval:
+        return Gate.CLOSEST_APPROACH
     return Gate.CLOSING_IN
-
-
-def reading_error_bound_m(perturbation: PerturbationSpec, params: MatchParams, gsd: float) -> float:
-    """How far a solid match's along-track reading may stray from the true
-    along-track distance of the unjittered pose: the render's center moves
-    at most ``translation_jitter`` (its radius is drawn up to that bound),
-    and the fitted affine maps the view center within the inlier tolerance,
-    ``inlier_tol_px`` pixels."""
-    return perturbation.translation_jitter + params.inlier_tol_px * gsd
 
 
 def run_mission(
@@ -251,26 +239,25 @@ def run_mission(
     Each tick advances the pose by ``control_step_m`` along the commanded
     cardinal direction. Every ``observation_period`` ticks an observation is
     rendered and matched against the expected landmark, unless the leg's
-    prediction exceeds the margin. The prediction is the along-track
-    distance to the landmark that the leg's latest solid match read
-    (``along_track_m``: the view center's offset projected on the commanded
-    direction), less the distance flown since; the margin is one sampling
-    interval plus ``reading_error_bound_m``, so a skipped tick is truly
-    more than one interval before abeam and a leg's first render comes
-    before it. At an arrival short of the goal, the arrival frame is
-    matched once against the next target with the arrival's RANSAC seed;
-    a solid match seeds the next leg's prediction, so that leg makes no far
-    render. The ``gate`` verdict alone decides each attempt, on the 2-D
-    center distance: a solid one re-anchors the prediction, CLOSING_IN
-    keeps the leg's smallest distance, CLOSEST_APPROACH arrives. Before takeoff
-    the policy is walked once, from the start to the goal or to the first
-    repeated cell, and each leg's target is described; a route cell without
-    a policy entry or with a command off the grid raises
-    ``PolicyInconsistencyError`` before the first render. Each leg starts
-    from the true, drifted pose of the last arrival. Exceeding ``max_ticks``
-    is TIMEOUT. A leg that overruns its travel budget, or whose jittered
-    footprint leaves the world raster, ends the mission in MATCH_FAILURE if
-    the craft passed near the landmark (recognition failed), else TIMEOUT.
+    prediction exceeds half a sampling interval. The prediction is the
+    along-track distance to the landmark that the leg's latest solid match
+    read (``along_track_m``: the view center's offset projected on the
+    commanded direction), less the distance flown since, so a predicted leg
+    renders at the observation tick nearest its predicted abeam. The
+    ``gate`` verdict alone decides each attempt: a solid one re-anchors the
+    prediction, CLOSEST_APPROACH (a reading within half an interval of
+    abeam, or past it) arrives. At an arrival short of the goal, the arrival
+    frame is matched once against the next target with the arrival's RANSAC
+    seed; a solid match seeds the next leg's prediction, so that leg makes
+    no far render. Before takeoff the policy is walked once, from the start
+    to the goal or to the first repeated cell, and each leg's target is
+    described; a route cell without a policy entry or with a command off
+    the grid raises ``PolicyInconsistencyError`` before the first render.
+    Each leg starts from the true, drifted pose of the last arrival.
+    Exceeding ``max_ticks`` is TIMEOUT. A leg that overruns its travel
+    budget, or whose jittered footprint leaves the world raster, ends the
+    mission in MATCH_FAILURE if the craft passed near the landmark
+    (recognition failed), else TIMEOUT.
     """
     grid.check(cfg.start)
     grid.check(cfg.goal)
@@ -302,12 +289,7 @@ def run_mission(
         cell = target
 
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
-    sample_floor = min(cfg.control_step_m * cfg.observation_period, params.distance_threshold_m)
-    # a prediction above this margin is truly more than one sampling
-    # interval before abeam, so the next attempt still comes before it
-    margin = cfg.control_step_m * cfg.observation_period + reading_error_bound_m(
-        cfg.perturbation, params, reg.gsd
-    )
+    half_interval = cfg.control_step_m * cfg.observation_period / 2.0
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     records: list[TickRecord] = []
@@ -323,7 +305,10 @@ def run_mission(
         )
 
     def along_track(res: MatchResult, obs_set: DescriptorSet, action: Action) -> float:
-        """The along-track distance to ``res.target`` that a solid match reads."""
+        """The along-track distance to ``res.target`` that a match reads; nan
+        without a model."""
+        if res.affine is None:
+            return math.nan
         train_size = library.get(res.target).image_size
         return along_track_m(res.affine, obs_set.image_size, train_size, reg.gsd, action.displacement)
 
@@ -341,8 +326,6 @@ def run_mission(
         )
         travelled = 0.0
         min_true = math.inf
-        # smallest closing-in center distance this leg, and the travel then
-        best_cd, best_at = math.inf, 0.0
 
         while travelled < leg_budget:
             if len(records) >= cfg.max_ticks:
@@ -354,8 +337,8 @@ def run_mission(
             records.append(rec)
 
             # reach - travelled is the predicted along-track distance: skip the
-            # render while it exceeds the margin
-            if rec.tick % cfg.observation_period == 0 and reach - travelled <= margin:
+            # render while it exceeds half an interval
+            if rec.tick % cfg.observation_period == 0 and reach - travelled <= half_interval:
                 try:
                     obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
                 except CoverageError:
@@ -369,9 +352,10 @@ def run_mission(
                 rec.n_matches = res.n_matches
                 rec.inliers = res.inliers
                 rec.center_distance_m = res.center_distance_m
-                verdict = gate(res, best_cd, travelled - best_at, sample_floor, params)
+                along = along_track(res, obs_set, action)
+                verdict = gate(res, along, half_interval, params)
                 if verdict.solid:
-                    reach = travelled + along_track(res, obs_set, action)
+                    reach = travelled + along
                 if verdict is Gate.CLOSEST_APPROACH:
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
@@ -387,11 +371,8 @@ def run_mission(
                     seed = match_images(
                         obs_set, library.get(next_target), attempt_params, reg.gsd, target=next_target
                     )
-                    if gate(seed, math.inf, 0.0, sample_floor, params).solid:
-                        return along_track(seed, obs_set, next_action)
-                    return -math.inf
-                if verdict is Gate.CLOSING_IN and res.center_distance_m < best_cd:
-                    best_cd, best_at = res.center_distance_m, travelled
+                    along = along_track(seed, obs_set, next_action)
+                    return along if gate(seed, along, half_interval, params).solid else -math.inf
         # the leg overran: recognition failed if the craft passed near the landmark
         if min_true <= near_pass_m:
             return end(MissionOutcome.MATCH_FAILURE, min_true)

@@ -189,7 +189,8 @@ def value_iteration(
 
     Iterates the Bellman optimality backup until the sup-norm change is
     within ``tol``. For gamma < 1 this always converges; the iteration cap
-    only guards against misuse.
+    only guards against misuse. Values that overflow the float range raise
+    OverflowError.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -201,6 +202,8 @@ def value_iteration(
         q_new = _backup(q, tables, goal_flat, gamma)
         delta = np.abs(q_new - q).max()
         q = q_new
+        if not np.isfinite(delta):
+            raise OverflowError("action-values overflow the float range")
         if delta <= tol:
             return QTable(values=q, goal=goal, discount=gamma)
     raise RuntimeError(f"value iteration did not converge within {max_iterations} iterations")
@@ -224,6 +227,7 @@ def train(
     Steps read the same transition tables as ``value_iteration``, indexed by
     flat state. Terminal transitions do not bootstrap (target = r), which
     pins the value of goal-adjacent moves to exactly the goal reward.
+    Values that overflow the float range raise OverflowError.
     """
     grid.check(goal)
     nxt, rew, term = (t.tolist() for t in _transition_tables(grid, rewards, goal))
@@ -252,6 +256,8 @@ def train(
             s = s2
         curve.points.append(CurvePoint(episode, total, steps, epsilon))
 
+    if not np.isfinite(q).all():
+        raise OverflowError("action-values overflow the float range")
     q[grid.flat_index(goal), :] = 0.0  # untouched by updates, pinned for the invariant
     return QTable(values=q, goal=goal, discount=gamma), curve
 

@@ -292,6 +292,26 @@ class TestCliTrainEval:
         assert last.startswith("status=error code=2")
         assert "alpha" in last
 
+    @pytest.mark.parametrize("overrides", [
+        # a step penalty above zero: Q-learning once overflowed to a traceback
+        ["rewards.step_penalty=1e308"],
+        ["rewards.step_penalty=0.01"],
+        # valid constants whose action-values overflow, in training and in
+        # the value-iteration oracle
+        ["rewards.collision_penalty=-1.7e308", "rewards.step_penalty=-1.6e308"],
+        ["rewards.collision_penalty=-1.7e308", "rewards.step_penalty=-1.6e308", "train.episodes=0"],
+    ])
+    def test_reward_constants_outside_the_envelope_exit_2(self, tmp_path, capsys, overrides):
+        args = ["train", "--set", f"run.output_dir={tmp_path}"]
+        for override in overrides:
+            args += ["--set", override]
+        code = main(args)
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "[rewards]" in last
+        assert not (tmp_path / "policy.txt").exists()
+
 
 @pytest.fixture(scope="module")
 def image_pair(tmp_path_factory, world_and_reg, grid):

@@ -112,6 +112,9 @@ class TestStep:
             RewardSpec(goal_reward=-1.0)
         with pytest.raises(ValueError):
             RewardSpec(step_penalty=-0.01)  # more severe than collision
+        for step in (0.0, 0.01):  # wandering would be worth as much as the goal, or more
+            with pytest.raises(ValueError, match="step penalty"):
+                RewardSpec(step_penalty=step)
 
 
 class TestNeighbors:

@@ -329,9 +329,9 @@ class TestRankNeighbors:
         lid = LandmarkId(5, 5)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
         ranked = _rank(build_descriptor_set(to_gray(noise), match_params), cands, match_params, reg.gsd)
-        floor = min(2.0, match_params.distance_threshold_m)  # one sampling interval by default
+        # even read abeam, with half the default sampling interval
         for res in ranked:
-            assert gate(res, math.inf, 0.0, floor, match_params) in (Gate.NO_MODEL, Gate.FEW_INLIERS, Gate.TOO_FAR)
+            assert gate(res, 0.0, 1.0, match_params) in (Gate.NO_MODEL, Gate.FEW_INLIERS, Gate.TOO_FAR)
 
     def test_single_candidate(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
@@ -468,9 +468,9 @@ class TestTargetRanksFirst:
 
 
 class TestArrivalCheck:
-    """The gate's pass at a leg's first reading: a solid match within the
-    distance threshold is CLOSING_IN or, within one sampling interval,
-    the CLOSEST_APPROACH."""
+    """The gate's pass: a solid match within the distance threshold is
+    CLOSING_IN or, read within half a sampling interval of abeam or past
+    it, the CLOSEST_APPROACH."""
 
     PASSING = (Gate.CLOSING_IN, Gate.CLOSEST_APPROACH)
 
@@ -483,18 +483,18 @@ class TestArrivalCheck:
             center_distance_m=cd if with_affine else None,
         )
 
-    def _passes(self, res, threshold, min_inliers, sample_floor=2.0):
+    def _verdict(self, res, threshold, min_inliers, along_m=30.0, half_interval=1.0):
         params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
-        return gate(res, math.inf, 0.0, min(sample_floor, threshold), params) in self.PASSING
+        return gate(res, along_m, half_interval, params)
 
     def test_passes_thresholds(self):
-        assert self._passes(self._result(150, 1.2), 5.0, 30)
-        assert self._passes(self._result(150, 4.0), 5.0, 30)
+        assert self._verdict(self._result(150, 1.2), 5.0, 30) in self.PASSING
+        assert self._verdict(self._result(150, 4.0), 5.0, 30) in self.PASSING
 
     def test_no_affine_fails(self):
         res = self._result(150, 1.2, with_affine=False)
-        assert not self._passes(res, 5.0, 30)
-        assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.NO_MODEL
+        assert self._verdict(res, 5.0, 30) not in self.PASSING
+        assert gate(res, math.nan, 1.0, MatchParams()) is Gate.NO_MODEL
 
     def test_collinear_matches_give_no_model(self):
         # 20 mutual pairs whose keypoints all lie on one line: every RANSAC
@@ -507,28 +507,37 @@ class TestArrivalCheck:
         assert res.affine is None
         assert res.inliers == 0
         assert res.center_distance_m is None
-        assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.NO_MODEL
+        assert gate(res, math.nan, 1.0, MatchParams()) is Gate.NO_MODEL
 
     def test_few_inliers_fail_regardless_of_distance(self):
         res = self._result(10, 0.0)
-        assert not self._passes(res, 5.0, 30)
-        assert gate(res, math.inf, 0.0, 2.0, MatchParams()) is Gate.FEW_INLIERS
+        assert self._verdict(res, 5.0, 30, along_m=0.0) not in self.PASSING
+        assert gate(res, 0.0, 1.0, MatchParams()) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         inliers=st.integers(0, 400),
         cd=st.floats(0.0, 50.0),
+        along_m=st.floats(-50.0, 50.0),
         more=st.integers(0, 400),
         closer=st.floats(0.0, 50.0),
+        nearer=st.floats(0.0, 50.0),
         threshold=st.floats(0.1, 20.0),
         min_inliers=st.integers(1, 300),
-        sample_floor=st.floats(0.1, 5.0),
+        half_interval=st.floats(0.05, 2.5),
     )
-    def test_arrival_check_is_monotone(self, inliers, cd, more, closer, threshold, min_inliers, sample_floor):
-        # more inliers or a smaller distance never closes an open gate
-        if self._passes(self._result(inliers, cd), threshold, min_inliers, sample_floor):
+    def test_arrival_check_is_monotone(
+        self, inliers, cd, along_m, more, closer, nearer, threshold, min_inliers, half_interval
+    ):
+        # more inliers or a smaller distance never closes an open gate, and a
+        # reading further along never undoes an arrival
+        verdict = self._verdict(self._result(inliers, cd), threshold, min_inliers, along_m, half_interval)
+        if verdict in self.PASSING:
             better = self._result(inliers + more, max(cd - closer, 0.0))
-            assert self._passes(better, threshold, min_inliers, sample_floor)
+            later = self._verdict(better, threshold, min_inliers, along_m - nearer, half_interval)
+            assert later in self.PASSING
+            if verdict is Gate.CLOSEST_APPROACH:
+                assert later is Gate.CLOSEST_APPROACH
 
 
 @pytest.mark.parametrize("field", ["inlier_tol_px", "distance_threshold_m"])

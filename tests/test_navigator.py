@@ -23,7 +23,6 @@ from uasnav.navigator import (
     export_trajectory,
     gate,
     read_mission_poses,
-    reading_error_bound_m,
     run_mission,
     write_mission_csv,
 )
@@ -32,9 +31,9 @@ from uasnav.policy import PolicyTable, greedy_policy, value_iteration
 # SHA-256 of the attempted ticks of the reference mission flown in
 # test_mission_is_deterministic. A change that alters perception numbers
 # on purpose updates this constant and says why.
-GOLDEN_MISSION_DIGEST = "e86ed70c538ac14382870870964648789eedeb8c5883d9d9a81b0b76993e6524"
+GOLDEN_MISSION_DIGEST = "f60bb7279167375265855822112ae969c59ac71f1aba12c492a78146a28aee76"
 # SHA-256 of that mission's whole mission.csv: every pose as well as every attempt
-GOLDEN_MISSION_CSV_SHA256 = "34015406f05c1beb3419d5fdc58ee34f0cc3075ea7bb6cd237e5a0c5a129c69f"
+GOLDEN_MISSION_CSV_SHA256 = "6d125ff2e0c75e8f04dd1648369e8b21fc32a5c575f1d3fed5fe71e69aba9b9a"
 GOLDEN_START = LandmarkId(5, 3)
 GOLDEN_PERTURBATION = PerturbationSpec(
     gain=1.1, bias=-8.0, noise_sigma=3.0, rotation_jitter=0.05, translation_jitter=2.0, rng_seed=31,
@@ -100,7 +99,7 @@ class TestExpectedLandmark:
 
 
 class TestClosestApproach:
-    FLOOR = 2.0  # one sampling interval at the default kinematics
+    HALF = 1.0  # half a sampling interval at the default kinematics
     PARAMS = MatchParams()  # 30 inliers, 5 m distance threshold
     WEAK = (Gate.NO_MODEL, Gate.FEW_INLIERS)
 
@@ -113,39 +112,27 @@ class TestClosestApproach:
             center_distance_m=cd if with_affine else None,
         )
 
-    def _verdict(self, res, best_cd=math.inf, flown_since_best=math.inf):
-        return gate(res, best_cd, flown_since_best, self.FLOOR, self.PARAMS)
+    def _verdict(self, res, along_m):
+        return gate(res, along_m, self.HALF, self.PARAMS)
 
-    def test_solid_match_at_or_below_floor_arrives(self):
-        for cd in (self.FLOOR, 0.5):
-            assert self._verdict(self._result(150, cd)) is Gate.CLOSEST_APPROACH
+    def test_reading_abeam_or_past_it_arrives(self):
+        for along in (self.HALF, 0.0, -self.HALF, -30.0):
+            assert self._verdict(self._result(150, 4.0), along) is Gate.CLOSEST_APPROACH
 
-    def test_gate_passing_match_above_floor_only_records_distance(self):
-        assert self._verdict(self._result(150, 4.0)) is Gate.CLOSING_IN
-        assert self._verdict(self._result(150, 3.0), best_cd=4.0) is Gate.CLOSING_IN
-        assert self._verdict(self._result(150, 7.5)) is Gate.TOO_FAR
+    def test_reading_short_of_abeam_is_closing_in(self):
+        assert self._verdict(self._result(150, 0.5), math.nextafter(self.HALF, math.inf)) is Gate.CLOSING_IN
+        assert self._verdict(self._result(150, 4.0), 30.0) is Gate.CLOSING_IN
 
-    def test_distance_that_stopped_shrinking_arrives(self):
-        assert self._verdict(self._result(150, 4.0), best_cd=4.0) is Gate.CLOSEST_APPROACH
-        # beyond the 5 m gate threshold: the closest approach was the last check
-        assert self._verdict(self._result(150, 7.5), best_cd=4.0) is Gate.CLOSEST_APPROACH
-
-    def test_distance_that_stopped_shrinking_waits_for_the_flown_distance(self):
-        # best_cd less one sampling interval must be flown since the best reading
-        needed = 4.0 - self.FLOOR
-        for cd, waiting in ((4.0, Gate.CLOSING_IN), (7.5, Gate.TOO_FAR)):
-            res = self._result(150, cd)
-            assert self._verdict(res, best_cd=4.0, flown_since_best=math.nextafter(needed, 0.0)) is waiting
-            assert self._verdict(res, best_cd=4.0, flown_since_best=needed) is Gate.CLOSEST_APPROACH
-        # a reading within one sampling interval needs no flown distance
-        assert self._verdict(self._result(150, self.FLOOR), best_cd=4.0, flown_since_best=0.0) is (
-            Gate.CLOSEST_APPROACH
-        )
+    def test_distance_beyond_the_threshold_never_arrives(self):
+        # a reading abeam with a lateral offset beyond the threshold is too far
+        for along in (30.0, self.HALF, 0.0, -30.0):
+            assert self._verdict(self._result(150, 7.5), along) is Gate.TOO_FAR
+        assert self._verdict(self._result(150, self.PARAMS.distance_threshold_m), 0.0) is Gate.CLOSEST_APPROACH
 
     def test_weak_match_never_arrives(self):
-        assert self._verdict(self._result(150, 0.0, with_affine=False), best_cd=1.0) is Gate.NO_MODEL
-        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 0.0), best_cd=1.0) is Gate.FEW_INLIERS
-        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 9.0), best_cd=1.0) is Gate.FEW_INLIERS
+        assert self._verdict(self._result(150, 0.0, with_affine=False), math.nan) is Gate.NO_MODEL
+        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 0.0), 0.0) is Gate.FEW_INLIERS
+        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 9.0), -30.0) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -153,17 +140,14 @@ class TestClosestApproach:
         shortfall=st.integers(0, 300),
         with_affine=st.booleans(),
         cd=st.floats(0.0, 50.0),
-        best_cd=st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
-        flown_since_best=st.one_of(st.floats(0.0, 100.0), st.just(math.inf)),
-        sample_floor=st.floats(0.1, 5.0),
+        along_m=st.one_of(st.floats(-50.0, 50.0), st.just(math.nan)),
+        half_interval=st.floats(0.05, 2.5),
     )
-    def test_weak_match_never_arrives_property(
-        self, inliers, shortfall, with_affine, cd, best_cd, flown_since_best, sample_floor
-    ):
+    def test_weak_match_never_arrives_property(self, inliers, shortfall, with_affine, cd, along_m, half_interval):
         # a result without a model, or with a model below the inlier floor
         params = MatchParams(min_inliers=inliers + shortfall + with_affine)
         res = self._result(inliers, cd, with_affine)
-        assert gate(res, best_cd, flown_since_best, sample_floor, params) in self.WEAK
+        assert gate(res, along_m, half_interval, params) in self.WEAK
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
@@ -171,35 +155,24 @@ class TestClosestApproach:
         min_inliers=st.integers(0, 400),
         with_affine=st.booleans(),
         cd=st.floats(0.0, 50.0),
-        best_cd=st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
-        flown_since_best=st.one_of(st.floats(0.0, 100.0), st.just(math.inf)),
-        sample_floor=st.floats(0.1, 5.0),
+        along_m=st.floats(-50.0, 50.0),
+        half_interval=st.floats(0.05, 2.5),
         threshold=st.floats(0.0, 20.0),
     )
-    def test_verdict_matches_the_rules_it_replaced(
-        self, inliers, min_inliers, with_affine, cd, best_cd, flown_since_best, sample_floor, threshold
-    ):
+    def test_verdict_states_the_rule(self, inliers, min_inliers, with_affine, cd, along_m, half_interval, threshold):
         params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
         res = self._result(inliers, cd, with_affine)
-        verdict = gate(res, best_cd, flown_since_best, sample_floor, params)
-        # the three expressions the flight loop used before the verdict:
-        # the solid match that re-anchors the prediction ...
-        solid = res.affine is not None and res.inliers >= min_inliers
-        # ... the closest approach that arrives ...
-        arrives = solid and (
-            cd <= sample_floor or (cd >= best_cd and flown_since_best >= best_cd - sample_floor)
-        )
-        # ... and the gate pass that, short of an arrival, records the distance
-        passes = (
-            res.affine is not None
-            and res.inliers >= min_inliers
-            and res.center_distance_m is not None
-            and res.center_distance_m <= threshold
-        )
+        verdict = gate(res, along_m, half_interval, params)
+        # a solid match re-anchors the prediction ...
+        solid = with_affine and inliers >= min_inliers
+        # ... and arrives within the threshold once it reads abeam, within
+        # half an interval, or past it
+        within = solid and cd <= threshold
         assert (verdict not in self.WEAK) == solid
-        assert (verdict is Gate.NO_MODEL) == (res.affine is None)
-        assert (verdict is Gate.CLOSEST_APPROACH) == arrives
-        assert (verdict is Gate.CLOSING_IN) == (passes and not arrives)
+        assert (verdict is Gate.NO_MODEL) == (not with_affine)
+        assert (verdict is Gate.TOO_FAR) == (solid and not within)
+        assert (verdict is Gate.CLOSEST_APPROACH) == (within and along_m <= half_interval)
+        assert (verdict is Gate.CLOSING_IN) == (within and along_m > half_interval)
 
 
 class TestMissionConfig:
@@ -362,8 +335,8 @@ class TestMission:
                 continue
             cyclic[lid] = Action.RIGHT if lid.col < grid.cols - 1 else Action.LEFT
         bad = PolicyTable(best_action=cyclic, goal=goal, cols=grid.cols, rows=grid.rows)
-        # the tick limit falls 2 ticks before an arrival, 4 m short of its landmark
-        cfg = MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=bad, max_ticks=644)
+        # the tick limit falls 2 ticks before an arrival, 2 m short of its landmark
+        cfg = MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=bad, max_ticks=638)
         log = run_mission(world, reg, grid, cfg, library=library)
         target = expected_landmark(grid, log.arrivals[-1].arrival, log.records[-1].action)
         last = log.records[-1]
@@ -372,7 +345,7 @@ class TestMission:
         assert np.hypot(*(landmark_position(grid, target) - (last.x, last.y))) <= near_pass_m
         assert log.outcome == MissionOutcome.TIMEOUT
         assert log.nearest_miss_m is None
-        assert log.ticks == 644
+        assert log.ticks == 638
 
     def test_unrecognizable_landmark_is_match_failure(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
@@ -516,16 +489,12 @@ class TestSchedule:
     def test_seeded_leg_renders_from_the_margin_on(self, world_and_reg, library, golden_flight):
         # a leg seeded by a solid match of the arrival frame renders no tick
         # until the seed's along-track reading, less the travel since, is
-        # within one sampling interval plus the reading-error bound
+        # within half a sampling interval
         _, reg = world_and_reg
         cfg, log, calls = golden_flight
         params = cfg.match_params
-        margin = (
-            cfg.control_step_m * cfg.observation_period
-            + cfg.perturbation.translation_jitter
-            + params.inlier_tol_px * reg.gsd
-        )
-        assert margin == 4.75
+        margin = cfg.control_step_m * cfg.observation_period / 2.0
+        assert margin == 1.0
         seeds = [calls[i + 1][1:] for i, call in enumerate(calls[:-1]) if call[0] == "rank"]
         assert len(seeds) == len(log.arrivals) - 1 >= 1
         for arrival, (obs, _, seed), nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
@@ -644,9 +613,9 @@ def _criterion_6_draw(grid):
 
 
 class TestPerturbedArrivals:
-    # in mission 17 one leg arrives 4 m short and the next passes its
-    # landmark 4 m abeam; arriving on the first distance that did not
-    # shrink would land 7.2 m out
+    # missions of the criterion-6 draw, under 2 m of translation jitter: an
+    # arrival reads abeam within half an interval, so it is truly within
+    # hypot(3.75, 3.75) = 5.3 m of its landmark (TestReadingError)
     @pytest.mark.parametrize("index", [2, 9, 17])
     def test_arrivals_within_bound(self, world_and_reg, grid, rewards, match_params, library, index):
         world, reg = world_and_reg
@@ -665,8 +634,11 @@ class TestPerturbedArrivals:
 
 
 class TestReadingError:
-    """The along-track reading on which a leg's render schedule rests
-    (``navigator.reading_error_bound_m``)."""
+    """The along-track reading on which a leg's render schedule and its
+    arrival rest. Its error bound e is ``translation_jitter + inlier_tol_px
+    * gsd``: the render's center moves at most ``translation_jitter`` (its
+    radius is drawn up to that bound), and the fitted affine maps the view
+    center within the inlier tolerance."""
 
     def test_reading_is_within_the_bound(self, world_and_reg, grid, match_params, library):
         # single attempts on random legs inside the envelope: rotation up to
@@ -695,30 +667,77 @@ class TestReadingError:
                 obs = build_descriptor_set(render_observation(world, reg, Pose(*pose), perturb), match_params)
                 train = library.get(target)
                 res = matching.match_images(obs, train, match_params, reg.gsd, target=target)
-                if not gate(res, math.inf, 0.0, 2.0, match_params).solid:
+                if not gate(res, 0.0, 1.0, match_params).solid:
                     continue
                 reading = along_track_m(res.affine, obs.image_size, train.image_size, reg.gsd, action.displacement)
                 errors.append(abs(reading - along))
                 assert errors[-1] <= jitter + fit_bound
-                assert reading_error_bound_m(perturb, match_params, reg.gsd) == jitter + fit_bound
             assert len(errors) >= 27
             if jitter:
                 # the jittered center strays beyond what the fit alone allows
                 assert max(errors) > fit_bound
 
-    def test_first_render_of_each_leg_comes_before_abeam(self, grid, criterion_6_flights):
-        # on the criterion-6 draw, whether seeded from the arrival frame or
-        # not, a leg renders for the first time before its landmark is abeam
-        legs = 0
+    def test_arrivals_are_within_the_bound(self, world_and_reg, grid, match_params, criterion_6_flights):
+        """On the criterion-6 draw, every arrival is truly within h + e of
+        abeam, h being half a sampling interval (1 m): 3.75 m with its 2 m of
+        translation jitter.
+
+        An arrival reads at most h, so it is truly at most h + e before
+        abeam. The observation tick before it was predicted, or read, more
+        than h before abeam, so it was truly more than h - e before, and the
+        arrival, one interval later, is truly less than h + e past abeam. (A
+        weak match at that tick gives no reading, and the leg can arrive
+        one interval later than this.) Motion is exact, so a leg's lateral
+        offset is the along-track error of an earlier arrival, bounded the
+        same way, and an arrival is truly within hypot(3.75, 3.75) = 5.3 m
+        of its landmark.
+
+        A reading's center distance errs by up to e as well, so near that
+        worst case it can read up to 5.3 + 2.75 m, beyond the 5 m
+        ``distance_threshold_m``: the gate is TOO_FAR, and the leg arrives at
+        a later tick that reads within 5 m, or overruns into MATCH_FAILURE
+        when none does. The threshold cannot refuse such a reading while
+        sqrt(2) (h + e) + e <= 5 m, that is e <= 1.48 m: without translation
+        jitter at the default 0.75 m fit tolerance, but not with 2 m of it.
+        """
+        _, reg = world_and_reg
+        bound = MissionConfig.control_step_m * MissionConfig.observation_period / 2.0 + (
+            2.0 + match_params.inlier_tol_px * reg.gsd
+        )
+        assert bound == 3.75
+        arrivals = 0
         for _, _, log, _ in criterion_6_flights:
             assert log.outcome == MissionOutcome.REACHED_GOAL
-            departures = [0] + [r.tick for r in log.arrivals[:-1]]
-            for after, arrival in zip(departures, log.arrivals):
-                first = next(r for r in log.records[after:arrival.tick] if r.attempted)
-                offset = landmark_position(grid, arrival.arrival) - (first.x, first.y)
-                assert offset @ first.action.displacement > 0.0
-                legs += 1
-        assert legs == 122
+            for rec in log.arrivals:
+                offset = landmark_position(grid, rec.arrival) - (rec.x, rec.y)
+                assert abs(offset @ rec.action.displacement) <= bound
+                assert np.hypot(*offset) <= math.hypot(bound, bound)
+                arrivals += 1
+        assert arrivals == 122
+
+    def test_seeded_leg_first_renders_nearest_its_predicted_abeam(
+        self, world_and_reg, match_params, criterion_6_flights, criterion_6_seeds
+    ):
+        # on the criterion-6 draw, a leg seeded by a solid match of the
+        # arrival frame first renders at the observation tick whose
+        # prediction lies within half an interval of abeam, the one nearest it
+        _, reg = world_and_reg
+        step, period = MissionConfig.control_step_m, MissionConfig.observation_period
+        half = step * period / 2.0
+        seeded = 0
+        for (_, _, log, _), seeds in zip(criterion_6_flights, criterion_6_seeds):
+            assert len(seeds) == len(log.arrivals) - 1
+            for arrival, (seed, obs_size, train_size), nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
+                if seed.affine is None or seed.inliers < match_params.min_inliers:
+                    continue
+                reading = along_track_m(seed.affine, obs_size, train_size, reg.gsd, nxt.action.displacement)
+                ticks = [r for r in log.records[arrival.tick:nxt.tick] if r.tick % period == 0]
+                predicted = [reading - (r.tick - arrival.tick) * step for r in ticks]
+                first = next(i for i, r in enumerate(ticks) if r.attempted)
+                assert all(p > half for p in predicted[:first])
+                assert -half < predicted[first] <= half
+                seeded += 1
+        assert seeded == 101  # of 102 legs after an arrival; one seed match is not solid
 
 
 @pytest.fixture(scope="module")
