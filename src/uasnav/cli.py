@@ -93,14 +93,13 @@ def cmd_train(args) -> int:
     rewards = cfg.reward_spec()
     goal = cfg.goal()
     train_cfg = cfg.train_config()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
         qtable, curve = policymod.train(grid, rewards, goal, train_cfg)
         oracle = policymod.value_iteration(grid, rewards, goal, gamma=train_cfg.discount)
     except OverflowError as exc:
         raise ConfigError(f"[rewards]: {exc}") from None
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     learned = policymod.greedy_policy(qtable, grid)
     agreement = policymod.oracle_agreement(learned, oracle, grid)
     if train_cfg.episodes == 0:

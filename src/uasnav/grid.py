@@ -129,6 +129,8 @@ class RewardSpec:
     step_penalty: float = -0.0001
 
     def __post_init__(self):
+        if not all(math.isfinite(r) for r in (self.goal_reward, self.collision_penalty, self.step_penalty)):
+            raise ValueError("reward constants must be finite")
         if not (self.goal_reward > 0 > self.collision_penalty):
             raise ValueError("goal reward must be positive and collision penalty negative")
         if not self.collision_penalty < self.step_penalty < 0:

@@ -1,7 +1,8 @@
 """Landmark recognition: keypoints, descriptors, correspondence matching,
-robust affine estimation, the center distance that the arrival gate
-(``navigator.gate``) reads, and the along-track distance on which the
-flight schedules its renders.
+robust affine estimation, and the view center's offset from the landmark
+center, from which the arrival gate (``navigator.gate``) reads its center
+distance and the along-track distance on which the flight schedules its
+renders.
 
 The pipeline is classical and fully seed-deterministic: a Harris-style
 corner detector with non-maximum suppression, an upright 128-dim gradient
@@ -90,18 +91,38 @@ class AffineTransform:
 
 @dataclass
 class MatchResult:
-    """Outcome of matching one observation against one candidate landmark."""
+    """Outcome of matching one observation against one candidate landmark.
+
+    ``offset_px`` is the view center mapped by the affine into the landmark
+    image, less that image's center, in its pixels (x east, y south; None
+    without a model); ``gsd`` is their size in meters."""
 
     target: LandmarkId | None
     pairs: np.ndarray  # (m, 2) mutual (query, train) keypoint indices
     inliers: int
     affine: AffineTransform | None
-    center_distance_m: float | None
+    offset_px: np.ndarray | None
+    gsd: float
     inlier_mask: np.ndarray | None = None
 
     @property
     def n_matches(self) -> int:
         return len(self.pairs)
+
+    @property
+    def center_distance_m(self) -> float | None:
+        """Metric distance between the view center and the landmark center."""
+        if self.offset_px is None:
+            return None
+        return float(np.linalg.norm(self.offset_px) * self.gsd)
+
+    def along_track_m(self, direction: tuple[float, float]) -> float:
+        """How far the view center still has to fly along the unit world
+        vector ``direction`` (east, north) to come abeam of the landmark
+        center, in meters (pixel rows grow southward). Negative past abeam;
+        needs a model."""
+        east, south = self.offset_px * self.gsd
+        return float(south * direction[1] - east * direction[0])
 
 
 @dataclass(frozen=True)
@@ -427,40 +448,6 @@ def _residuals(src: np.ndarray, dst: np.ndarray, params: np.ndarray) -> np.ndarr
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _center_offset_px(
-    affine: AffineTransform, query_size: tuple[int, int], train_size: tuple[int, int]
-) -> np.ndarray:
-    """The query center mapped into the train image, less the train center, in train pixels."""
-    qc = np.array([query_size[0] / 2.0, query_size[1] / 2.0])
-    tc = np.array([train_size[0] / 2.0, train_size[1] / 2.0])
-    return affine.apply(qc[None])[0] - tc
-
-
-def center_distance(
-    affine: AffineTransform,
-    query_size: tuple[int, int],
-    train_size: tuple[int, int],
-    gsd: float,
-) -> float:
-    """Metric distance between the mapped query center and the train center."""
-    return float(np.linalg.norm(_center_offset_px(affine, query_size, train_size)) * gsd)
-
-
-def along_track_m(
-    affine: AffineTransform,
-    query_size: tuple[int, int],
-    train_size: tuple[int, int],
-    gsd: float,
-    direction: tuple[float, float],
-) -> float:
-    """How far the query center still has to fly along the unit world
-    vector ``direction`` (east, north) to come abeam of the train center:
-    the train center less the mapped query center, in meters (pixel rows
-    grow southward), projected on ``direction``. Negative past abeam."""
-    east, south = _center_offset_px(affine, query_size, train_size) * gsd
-    return float(south * direction[1] - east * direction[0])
-
-
 def match_images(
     observation: DescriptorSet,
     candidate: DescriptorSet,
@@ -468,7 +455,7 @@ def match_images(
     gsd: float,
     target: LandmarkId | None = None,
 ) -> MatchResult:
-    """Full per-candidate pipeline: match, robust affine, center distance.
+    """Full per-candidate pipeline: match, robust affine, center offset.
 
     RANSAC failures (too few matches or degenerate geometry) produce a
     result with no affine rather than an exception, so ranking can proceed.
@@ -485,7 +472,7 @@ def _fit_pairs(
     gsd: float,
     target: LandmarkId | None,
 ) -> MatchResult:
-    """The robust affine and center distance of ``match_images``, from the
+    """The robust affine and center offset of ``match_images``, from the
     mutual pairs it matched."""
     if len(pairs) >= 3:
         try:
@@ -496,11 +483,13 @@ def _fit_pairs(
                 iterations=params.ransac_iterations,
                 rng_seed=params.rng_seed,
             )
-            cdist = center_distance(affine, observation.image_size, candidate.image_size, gsd)
-            return MatchResult(target, pairs, int(mask.sum()), affine, cdist, inlier_mask=mask)
+            # the one place the view center goes through the affine
+            center = affine.apply(np.array([observation.image_size]) / 2.0)[0]
+            offset = center - np.array(candidate.image_size) / 2.0
+            return MatchResult(target, pairs, int(mask.sum()), affine, offset, gsd, inlier_mask=mask)
         except DegenerateGeometryError:
             pass
-    return MatchResult(target, pairs, inliers=0, affine=None, center_distance_m=None)
+    return MatchResult(target, pairs, inliers=0, affine=None, offset_px=None, gsd=gsd)
 
 
 def rank_neighbors(results: list[MatchResult]) -> list[MatchResult]:

@@ -34,7 +34,6 @@ from .matching import (
     DescriptorSet,
     MatchParams,
     MatchResult,
-    along_track_m,
     build_descriptor_set,
     match_images,
     target_ranks_first,
@@ -207,14 +206,16 @@ class Gate(Enum):
         return self not in (Gate.NO_MODEL, Gate.FEW_INLIERS)
 
 
-def gate(res: MatchResult, along_m: float, half_interval: float, params: MatchParams) -> Gate:
-    """The whole arrival rule, on one match and its along-track reading
-    ``along_m`` (``along_track_m``; negative past abeam). A solid match (a
-    model and at least ``min_inliers`` inliers) is TOO_FAR beyond
-    ``distance_threshold_m``; within it, it is the CLOSEST_APPROACH once it
-    reads abeam within ``half_interval`` (half a sampling interval) or past
-    it, since on a straight leg abeam is the closest approach; else it is
-    CLOSING_IN.
+def gate(
+    res: MatchResult, direction: tuple[float, float], half_interval: float, params: MatchParams
+) -> Gate:
+    """The whole arrival rule, on one match of a leg flown along the unit
+    world vector ``direction``. A solid match (a model and at least
+    ``min_inliers`` inliers) is TOO_FAR beyond ``distance_threshold_m``;
+    within it, it is the CLOSEST_APPROACH once its along-track reading
+    (``res.along_track_m(direction)``, negative past abeam) is within
+    ``half_interval`` (half a sampling interval) of abeam or past it, since
+    on a straight leg abeam is the closest approach; else it is CLOSING_IN.
     """
     if res.affine is None:
         return Gate.NO_MODEL
@@ -222,7 +223,7 @@ def gate(res: MatchResult, along_m: float, half_interval: float, params: MatchPa
         return Gate.FEW_INLIERS
     if res.center_distance_m > params.distance_threshold_m:
         return Gate.TOO_FAR
-    if along_m <= half_interval:
+    if res.along_track_m(direction) <= half_interval:
         return Gate.CLOSEST_APPROACH
     return Gate.CLOSING_IN
 
@@ -241,12 +242,13 @@ def run_mission(
     rendered and matched against the expected landmark, unless the leg's
     prediction exceeds half a sampling interval. The prediction is the
     along-track distance to the landmark that the leg's latest solid match
-    read (``along_track_m``: the view center's offset projected on the
-    commanded direction), less the distance flown since, so a predicted leg
-    renders at the observation tick nearest its predicted abeam. The
-    ``gate`` verdict alone decides each attempt: a solid one re-anchors the
-    prediction, CLOSEST_APPROACH (a reading within half an interval of
-    abeam, or past it) arrives. At an arrival short of the goal, the arrival
+    read (``MatchResult.along_track_m``: the view center's offset projected
+    on the commanded direction), less the distance flown since, so a
+    predicted leg renders at the observation tick nearest its predicted
+    abeam. The ``gate`` verdict on the match and the commanded direction
+    alone decides each attempt: a solid one re-anchors the prediction,
+    CLOSEST_APPROACH (a reading within half an interval of abeam, or past
+    it) arrives. At an arrival short of the goal, the arrival
     frame is matched once against the next target with the arrival's RANSAC
     seed; a solid match seeds the next leg's prediction, so that leg makes
     no far render. Before takeoff the policy is walked once, from the start
@@ -304,14 +306,6 @@ def run_mission(
             nearest_miss_m=nearest_miss,
         )
 
-    def along_track(res: MatchResult, obs_set: DescriptorSet, action: Action) -> float:
-        """The along-track distance to ``res.target`` that a match reads; nan
-        without a model."""
-        if res.affine is None:
-            return math.nan
-        train_size = library.get(res.target).image_size
-        return along_track_m(res.affine, obs_set.image_size, train_size, reg.gsd, action.displacement)
-
     def fly_leg(cell: LandmarkId, reach: float) -> MissionLog | float:
         """Fly the leg from ``cell`` on from the current pose; ``reach`` is
         the travel at which the arrival frame puts the target abeam, -inf
@@ -352,10 +346,9 @@ def run_mission(
                 rec.n_matches = res.n_matches
                 rec.inliers = res.inliers
                 rec.center_distance_m = res.center_distance_m
-                along = along_track(res, obs_set, action)
-                verdict = gate(res, along, half_interval, params)
+                verdict = gate(res, action.displacement, half_interval, params)
                 if verdict.solid:
-                    reach = travelled + along
+                    reach = travelled + res.along_track_m(action.displacement)
                 if verdict is Gate.CLOSEST_APPROACH:
                     # re-rank the departure cell's neighbors, reusing this
                     # attempt's match of the target
@@ -371,8 +364,9 @@ def run_mission(
                     seed = match_images(
                         obs_set, library.get(next_target), attempt_params, reg.gsd, target=next_target
                     )
-                    along = along_track(seed, obs_set, next_action)
-                    return along if gate(seed, along, half_interval, params).solid else -math.inf
+                    if gate(seed, next_action.displacement, half_interval, params).solid:
+                        return seed.along_track_m(next_action.displacement)
+                    return -math.inf
         # the leg overran: recognition failed if the craft passed near the landmark
         if min_true <= near_pass_m:
             return end(MissionOutcome.MATCH_FAILURE, min_true)

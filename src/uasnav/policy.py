@@ -8,6 +8,7 @@ to a versioned plain-text format consumed by the mission navigator.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 from dataclasses import dataclass, field
@@ -177,6 +178,18 @@ def _backup(q: np.ndarray, tables, goal_flat: int, gamma: float) -> np.ndarray:
     return out
 
 
+@contextlib.contextmanager
+def _overflow_stops():
+    """Raise OverflowError at the first float operation inside that
+    overflows or makes a nan. The reward constants are finite, so no other
+    operation makes an action-value infinite."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise OverflowError("action-values overflow the float range") from None
+
+
 def value_iteration(
     grid: GridSpec,
     rewards: RewardSpec,
@@ -190,7 +203,7 @@ def value_iteration(
     Iterates the Bellman optimality backup until the sup-norm change is
     within ``tol``. For gamma < 1 this always converges; the iteration cap
     only guards against misuse. Values that overflow the float range raise
-    OverflowError.
+    OverflowError at the first backup that overflows.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -199,11 +212,10 @@ def value_iteration(
     goal_flat = grid.flat_index(goal)
     q = np.zeros_like(tables[1])
     for _ in range(max_iterations):
-        q_new = _backup(q, tables, goal_flat, gamma)
-        delta = np.abs(q_new - q).max()
+        with _overflow_stops():
+            q_new = _backup(q, tables, goal_flat, gamma)
+            delta = np.abs(q_new - q).max()
         q = q_new
-        if not np.isfinite(delta):
-            raise OverflowError("action-values overflow the float range")
         if delta <= tol:
             return QTable(values=q, goal=goal, discount=gamma)
     raise RuntimeError(f"value iteration did not converge within {max_iterations} iterations")
@@ -227,7 +239,8 @@ def train(
     Steps read the same transition tables as ``value_iteration``, indexed by
     flat state. Terminal transitions do not bootstrap (target = r), which
     pins the value of goal-adjacent moves to exactly the goal reward.
-    Values that overflow the float range raise OverflowError.
+    Values that overflow the float range raise OverflowError at the first
+    update that overflows.
     """
     grid.check(goal)
     nxt, rew, term = (t.tolist() for t in _transition_tables(grid, rewards, goal))
@@ -236,28 +249,27 @@ def train(
     curve = TrainingCurve()
     alpha, gamma = cfg.learning_rate, cfg.discount
 
-    for episode in range(cfg.episodes):
-        epsilon = cfg.epsilon_at(episode)
-        s = grid.flat_index(random_start(grid, goal, rng))
-        total = 0.0
-        steps = 0
-        while steps < cfg.max_episode_steps:
-            if rng.random() < epsilon:
-                a = int(rng.integers(len(Action)))
-            else:
-                a = int(np.argmax(q[s]))
-            s2, r = nxt[s][a], rew[s][a]
-            target = r if term[s][a] else r + gamma * q[s2].max()
-            q[s, a] += alpha * (target - q[s, a])
-            total += r
-            steps += 1
-            if term[s][a]:
-                break
-            s = s2
-        curve.points.append(CurvePoint(episode, total, steps, epsilon))
+    with _overflow_stops():
+        for episode in range(cfg.episodes):
+            epsilon = cfg.epsilon_at(episode)
+            s = grid.flat_index(random_start(grid, goal, rng))
+            total = 0.0
+            steps = 0
+            while steps < cfg.max_episode_steps:
+                if rng.random() < epsilon:
+                    a = int(rng.integers(len(Action)))
+                else:
+                    a = int(np.argmax(q[s]))
+                s2, r = nxt[s][a], rew[s][a]
+                target = r if term[s][a] else r + gamma * q[s2].max()
+                q[s, a] += alpha * (target - q[s, a])
+                total += r
+                steps += 1
+                if term[s][a]:
+                    break
+                s = s2
+            curve.points.append(CurvePoint(episode, total, steps, epsilon))
 
-    if not np.isfinite(q).all():
-        raise OverflowError("action-values overflow the float range")
     q[grid.flat_index(goal), :] = 0.0  # untouched by updates, pinned for the invariant
     return QTable(values=q, goal=goal, discount=gamma), curve
 

@@ -88,7 +88,7 @@ def _criterion_6(world_and_reg, grid, rewards, match_params, library):
         res = match_images(obs, train, *args, **kwargs)
         if ranked:
             ranked.clear()
-            seeds[-1].append((res, obs.image_size, train.image_size))
+            seeds[-1].append(res)
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -132,6 +132,5 @@ def criterion_6_flights(_criterion_6):
 @pytest.fixture(scope="session")
 def criterion_6_seeds(_criterion_6):
     """Per criterion-6 mission, in flight order, the match of each arrival
-    frame short of the goal against the next leg's target:
-    ``(result, observation size, target size)``."""
+    frame short of the goal against the next leg's target."""
     return _criterion_6[1]

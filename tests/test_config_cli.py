@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uasnav import imagery
 from uasnav.cli import main
-from uasnav.config import load_config, parse_overrides, write_reference_config
+from uasnav.config import _SCHEMA, load_config, parse_overrides, write_reference_config
 from uasnav.errors import ConfigError
 from uasnav.grid import Action, GridSpec, LandmarkId, RewardSpec
 from uasnav.imagery import PerturbationSpec, WorldSpec, landmark_descriptor_image
@@ -302,15 +307,20 @@ class TestCliTrainEval:
         ["rewards.collision_penalty=-1.7e308", "rewards.step_penalty=-1.6e308", "train.episodes=0"],
     ])
     def test_reward_constants_outside_the_envelope_exit_2(self, tmp_path, capsys, overrides):
-        args = ["train", "--set", f"run.output_dir={tmp_path}"]
+        out = tmp_path / "out"
+        args = ["train", "--set", f"run.output_dir={out}"]
         for override in overrides:
             args += ["--set", override]
-        code = main(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 2
         assert last.startswith("status=error code=2")
         assert "[rewards]" in last
-        assert not (tmp_path / "policy.txt").exists()
+        # training stops at the first overflowing update, before any output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -666,3 +676,45 @@ class TestCliLandmarkStore:
         self._fly(fresh, tmp_path / "policy.txt", capsys, start=(5, 4))
         assert (reused / "mission.csv").read_bytes() == (fresh / "mission.csv").read_bytes()
         assert (reused / "mission.csv").read_bytes() != first
+
+
+class TestCliContract:
+    """Every run of ``main`` ends in exit 0, 2 or 3 with a final ``status=``
+    line, whatever one or two config overrides it is given."""
+
+    KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
+    EDGES = ["0", "1", "-1", "nan", "inf", "-inf", "1e308", "1e-310", "", "x"]
+    # a one-leg mission on a 2x2 grid; a drawn override wins over these
+    TINY = [
+        "run.output_dir=out", "grid.cols=2", "grid.rows=2", "grid.goal_col=1", "grid.goal_row=1",
+        "mission.start_col=1", "mission.start_row=0",
+    ]
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        """``imagery.build_world`` with its worlds kept for the whole class:
+        the tiny world is synthesized once, and again only for drawn
+        ``[grid]`` or ``[imagery]`` values."""
+        built, synthesize = {}, imagery.build_world
+
+        def build_world(grid, spec=WorldSpec()):
+            if (grid, spec) not in built:
+                built[grid, spec] = synthesize(grid, spec)
+            return built[grid, spec]
+
+        return build_world
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(overrides=st.lists(st.tuples(st.sampled_from(KEYS), st.sampled_from(EDGES)), min_size=1, max_size=2))
+    def test_any_override_ends_in_a_status_line(self, worlds, overrides):
+        sets = self.TINY + [f"{key}={value}" for key, value in overrides]
+        with tempfile.TemporaryDirectory() as cwd, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(cwd)  # a drawn run.output_dir is relative to it
+            mp.setattr(imagery, "build_world", worlds)
+            for command in ("build-env", "train", "eval", "fly"):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, *(arg for s in sets for arg in ("--set", s))])
+                last = stdout.getvalue().strip().splitlines()[-1]
+                assert code in (0, 2, 3), (command, sets)
+                assert last.startswith("status=ok" if code == 0 else f"status=error code={code}"), (command, sets)

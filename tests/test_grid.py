@@ -115,6 +115,10 @@ class TestStep:
         for step in (0.0, 0.01):  # wandering would be worth as much as the goal, or more
             with pytest.raises(ValueError, match="step penalty"):
                 RewardSpec(step_penalty=step)
+        for field in ("goal_reward", "collision_penalty", "step_penalty"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    RewardSpec(**{field: value})
 
 
 class TestNeighbors:

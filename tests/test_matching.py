@@ -11,7 +11,7 @@ from uasnav.errors import (
     InsufficientMatchesError,
     InvalidStateError,
 )
-from uasnav.grid import LandmarkId, landmark_position, neighbors
+from uasnav.grid import Action, LandmarkId, landmark_position, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_observation
 from uasnav.raster import RasterImage, to_gray
 from uasnav.matching import (
@@ -21,7 +21,6 @@ from uasnav.matching import (
     MatchParams,
     MatchResult,
     build_descriptor_set,
-    center_distance,
     describe,
     detect_keypoints,
     _ransac_triples,
@@ -270,27 +269,86 @@ class TestRansacTriples:
         assert len(np.unique(_ransac_triples(5, draws, 3), axis=0)) == 60
 
 
+def _view_map(degrees, shift=(0.0, 0.0)):
+    """The affine that rotates a 640x480 view about its center by
+    ``degrees``, then shifts it by ``shift`` pixels."""
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    cx, cy = 320.0, 240.0
+    return np.array([
+        [c, -s, cx - cx * c + cy * s + shift[0]],
+        [s, c, cy - cx * s - cy * c + shift[1]],
+    ])
+
+
+def _fitted(matrix, gsd):
+    """``match_images`` of a synthetic 640x480 view against its image under
+    the affine ``matrix``: 60 random keypoints, each with its own
+    descriptor, so every pair is an inlier and the fit recovers ``matrix``."""
+    rng = np.random.default_rng(21)
+    desc = rng.normal(size=(60, 128))
+    desc /= np.linalg.norm(desc, axis=1)[:, None]
+    xy = rng.uniform([20.0, 20.0], [620.0, 460.0], (60, 2))
+    mapped = AffineTransform(matrix).apply(xy)
+    obs = DescriptorSet(np.column_stack([xy, np.ones(60)]), desc, (640, 480))
+    train = DescriptorSet(np.column_stack([mapped, np.ones(60)]), desc.copy(), (640, 480))
+    return match_images(obs, train, MatchParams(), gsd)
+
+
 class TestCenterDistance:
     def test_identity_is_zero(self):
-        assert center_distance(AffineTransform.identity(), (640, 480), (640, 480), 0.25) == 0.0
+        res = _fitted(_view_map(0.0), 0.25)
+        assert res.inliers == 60
+        assert res.center_distance_m == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_translation(self):
-        t = AffineTransform(np.array([[1.0, 0.0, 40.0], [0.0, 1.0, 0.0]]))
-        assert center_distance(t, (640, 480), (640, 480), 0.25) == pytest.approx(10.0)
+        # the view center lies 40 px (10 m) east of the landmark's
+        res = _fitted(_view_map(0.0, (40.0, 0.0)), 0.25)
+        assert res.center_distance_m == pytest.approx(10.0)
+        assert res.along_track_m(Action.RIGHT.displacement) == pytest.approx(-10.0)  # past it, flying east
+        assert res.along_track_m(Action.LEFT.displacement) == pytest.approx(10.0)
+        assert res.along_track_m(Action.FORWARD.displacement) == pytest.approx(0.0, abs=1e-9)
 
     def test_rotation_about_train_center_is_zero(self):
-        theta = 0.3
-        c, s = math.cos(theta), math.sin(theta)
-        cx, cy = 320.0, 240.0
-        mat = np.array([
-            [c, -s, cx - cx * c + cy * s],
-            [s, c, cy - cx * s - cy * c],
-        ])
-        assert center_distance(AffineTransform(mat), (640, 480), (640, 480), 0.25) == pytest.approx(0.0, abs=1e-9)
+        res = _fitted(_view_map(math.degrees(0.3)), 0.25)
+        assert res.center_distance_m == pytest.approx(0.0, abs=1e-9)
 
     def test_affine_validation(self):
         with pytest.raises(DegenerateGeometryError):
             AffineTransform(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+
+
+class TestCenterReadingBits:
+    """The center distance and the along-track reading, bit for bit, at a
+    gsd that is not a power of two: the golden pins run at 0.25 m/px, where
+    scaling before or after the norm gives the same bits."""
+
+    @staticmethod
+    def _check(res, gsd):
+        px = res.affine.apply(np.array([[320.0, 240.0]]))[0] - (320.0, 240.0)
+        east, south = px * gsd
+        assert res.center_distance_m == float(np.linalg.norm(px) * gsd)
+        for action in Action:
+            d = action.displacement
+            assert res.along_track_m(d) == south * d[1] - east * d[0]
+        return px
+
+    def test_fixed_affine(self):
+        res = _fitted(_view_map(7.0, (-23.0, 25.0)), 0.3)
+        px = self._check(res, 0.3)
+        assert px == pytest.approx((-23.0, 25.0))
+        # the pin can tell the float orders apart on this affine
+        assert res.center_distance_m != float(np.linalg.norm(px * 0.3))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.floats(-10.0, 10.0),
+        shift=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+        gsd=st.sampled_from([0.1, 0.25, 0.3, 0.7]),
+    )
+    def test_in_envelope_affines(self, degrees, shift, gsd):
+        res = _fitted(_view_map(degrees, shift), gsd)
+        assert res.inliers == 60
+        assert self._check(res, gsd) == pytest.approx(shift, abs=1e-6)
 
 
 def _rank(obs, candidates, params, gsd):
@@ -329,9 +387,12 @@ class TestRankNeighbors:
         lid = LandmarkId(5, 5)
         cands = [(nid, library.get(nid)) for nid in [lid, *[n for n in neighbors(grid, lid).values() if n]]]
         ranked = _rank(build_descriptor_set(to_gray(noise), match_params), cands, match_params, reg.gsd)
-        # even read abeam, with half the default sampling interval
+        # whatever the direction of the leg, at half the default sampling interval
         for res in ranked:
-            assert gate(res, 0.0, 1.0, match_params) in (Gate.NO_MODEL, Gate.FEW_INLIERS, Gate.TOO_FAR)
+            for action in Action:
+                assert gate(res, action.displacement, 1.0, match_params) in (
+                    Gate.NO_MODEL, Gate.FEW_INLIERS, Gate.TOO_FAR
+                )
 
     def test_single_candidate(self, world_and_reg, grid, match_params, library):
         world, reg = world_and_reg
@@ -359,12 +420,14 @@ class TestRankNeighbors:
 
     def test_ordering_tie_breaks(self):
         def result(col, inliers, cd):
+            # at one meter per pixel, an offset of cd pixels east is cd meters
             return MatchResult(
                 target=LandmarkId(col, 0),
                 pairs=np.zeros((0, 2), dtype=int),
                 inliers=inliers,
                 affine=None if cd is None else AffineTransform.identity(),
-                center_distance_m=cd,
+                offset_px=None if cd is None else np.array([cd, 0.0]),
+                gsd=1.0,
             )
 
         results = [
@@ -473,28 +536,31 @@ class TestArrivalCheck:
     it, the CLOSEST_APPROACH."""
 
     PASSING = (Gate.CLOSING_IN, Gate.CLOSEST_APPROACH)
+    NORTH = Action.FORWARD.displacement  # along-track reads the offset's south part
 
-    def _result(self, inliers, cd, with_affine=True):
+    def _result(self, inliers, east, south, with_affine=True):
+        # at one meter per pixel, the view center's offset reads in meters
         return MatchResult(
             target=None,
             pairs=np.zeros((0, 2), dtype=int),
             inliers=inliers,
             affine=AffineTransform.identity() if with_affine else None,
-            center_distance_m=cd if with_affine else None,
+            offset_px=np.array([east, south]) if with_affine else None,
+            gsd=1.0,
         )
 
-    def _verdict(self, res, threshold, min_inliers, along_m=30.0, half_interval=1.0):
+    def _verdict(self, res, threshold, min_inliers, half_interval=1.0):
         params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
-        return gate(res, along_m, half_interval, params)
+        return gate(res, self.NORTH, half_interval, params)
 
     def test_passes_thresholds(self):
-        assert self._verdict(self._result(150, 1.2), 5.0, 30) in self.PASSING
-        assert self._verdict(self._result(150, 4.0), 5.0, 30) in self.PASSING
+        assert self._verdict(self._result(150, 1.2, 0.0), 5.0, 30) in self.PASSING
+        assert self._verdict(self._result(150, 0.0, 4.0), 5.0, 30) in self.PASSING
 
     def test_no_affine_fails(self):
-        res = self._result(150, 1.2, with_affine=False)
+        res = self._result(150, 1.2, 0.0, with_affine=False)
         assert self._verdict(res, 5.0, 30) not in self.PASSING
-        assert gate(res, math.nan, 1.0, MatchParams()) is Gate.NO_MODEL
+        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.NO_MODEL
 
     def test_collinear_matches_give_no_model(self):
         # 20 mutual pairs whose keypoints all lie on one line: every RANSAC
@@ -506,38 +572,41 @@ class TestArrivalCheck:
         assert res.n_matches == n
         assert res.affine is None
         assert res.inliers == 0
-        assert res.center_distance_m is None
-        assert gate(res, math.nan, 1.0, MatchParams()) is Gate.NO_MODEL
+        assert res.offset_px is None and res.center_distance_m is None
+        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.NO_MODEL
 
     def test_few_inliers_fail_regardless_of_distance(self):
-        res = self._result(10, 0.0)
-        assert self._verdict(res, 5.0, 30, along_m=0.0) not in self.PASSING
-        assert gate(res, 0.0, 1.0, MatchParams()) is Gate.FEW_INLIERS
+        res = self._result(10, 0.0, 0.0)
+        assert self._verdict(res, 5.0, 30) not in self.PASSING
+        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         inliers=st.integers(0, 400),
-        cd=st.floats(0.0, 50.0),
-        along_m=st.floats(-50.0, 50.0),
+        east=st.floats(-30.0, 30.0),
+        south=st.floats(-30.0, 30.0),
         more=st.integers(0, 400),
-        closer=st.floats(0.0, 50.0),
+        shrink=st.floats(0.0, 1.0),
         nearer=st.floats(0.0, 50.0),
         threshold=st.floats(0.1, 20.0),
         min_inliers=st.integers(1, 300),
         half_interval=st.floats(0.05, 2.5),
     )
     def test_arrival_check_is_monotone(
-        self, inliers, cd, along_m, more, closer, nearer, threshold, min_inliers, half_interval
+        self, inliers, east, south, more, shrink, nearer, threshold, min_inliers, half_interval
     ):
-        # more inliers or a smaller distance never closes an open gate, and a
-        # reading further along never undoes an arrival
-        verdict = self._verdict(self._result(inliers, cd), threshold, min_inliers, along_m, half_interval)
+        # more inliers or an offset shrunk toward the landmark never closes
+        # an open gate nor undoes an arrival, and a reading further along
+        # never undoes an arrival while it stays within the threshold
+        verdict = self._verdict(self._result(inliers, east, south), threshold, min_inliers, half_interval)
         if verdict in self.PASSING:
-            better = self._result(inliers + more, max(cd - closer, 0.0))
-            later = self._verdict(better, threshold, min_inliers, along_m - nearer, half_interval)
-            assert later in self.PASSING
-            if verdict is Gate.CLOSEST_APPROACH:
-                assert later is Gate.CLOSEST_APPROACH
+            better = self._result(inliers + more, east * shrink, south * shrink)
+            assert self._verdict(better, threshold, min_inliers, half_interval) in self.PASSING
+        if verdict is Gate.CLOSEST_APPROACH:
+            assert self._verdict(better, threshold, min_inliers, half_interval) is Gate.CLOSEST_APPROACH
+            later = self._result(inliers, east, south - nearer)
+            if later.center_distance_m <= threshold:
+                assert self._verdict(later, threshold, min_inliers, half_interval) is Gate.CLOSEST_APPROACH
 
 
 @pytest.mark.parametrize("field", ["inlier_tol_px", "distance_threshold_m"])

@@ -13,7 +13,7 @@ from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
 from uasnav.grid import Action, LandmarkId, landmark_position, manhattan, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, WorldSpec, build_world, render_observation
-from uasnav.matching import AffineTransform, MatchParams, MatchResult, along_track_m, build_descriptor_set
+from uasnav.matching import AffineTransform, MatchParams, MatchResult, build_descriptor_set
 from uasnav.navigator import (
     Gate,
     LandmarkLibrary,
@@ -102,72 +102,94 @@ class TestClosestApproach:
     HALF = 1.0  # half a sampling interval at the default kinematics
     PARAMS = MatchParams()  # 30 inliers, 5 m distance threshold
     WEAK = (Gate.NO_MODEL, Gate.FEW_INLIERS)
+    NORTH = Action.FORWARD.displacement  # along-track reads the offset's south part
 
-    def _result(self, inliers, cd, with_affine=True):
+    def _result(self, inliers, east, south, with_affine=True):
+        # at one meter per pixel, the view center's offset reads in meters
         return MatchResult(
             target=None,
             pairs=np.zeros((0, 2), dtype=int),
             inliers=inliers,
             affine=AffineTransform.identity() if with_affine else None,
-            center_distance_m=cd if with_affine else None,
+            offset_px=np.array([east, south]) if with_affine else None,
+            gsd=1.0,
         )
 
-    def _verdict(self, res, along_m):
-        return gate(res, along_m, self.HALF, self.PARAMS)
+    def _verdict(self, res, direction=NORTH):
+        return gate(res, direction, self.HALF, self.PARAMS)
 
     def test_reading_abeam_or_past_it_arrives(self):
-        for along in (self.HALF, 0.0, -self.HALF, -30.0):
-            assert self._verdict(self._result(150, 4.0), along) is Gate.CLOSEST_APPROACH
+        for south in (self.HALF, 0.0, -self.HALF, -4.0):
+            assert self._verdict(self._result(150, 2.0, south)) is Gate.CLOSEST_APPROACH
 
     def test_reading_short_of_abeam_is_closing_in(self):
-        assert self._verdict(self._result(150, 0.5), math.nextafter(self.HALF, math.inf)) is Gate.CLOSING_IN
-        assert self._verdict(self._result(150, 4.0), 30.0) is Gate.CLOSING_IN
+        assert self._verdict(self._result(150, 0.0, math.nextafter(self.HALF, math.inf))) is Gate.CLOSING_IN
+        assert self._verdict(self._result(150, 0.0, 4.0)) is Gate.CLOSING_IN
+
+    def test_reading_is_projected_on_the_move(self):
+        # 3 m west and 0.5 m south of the landmark: short of it only flying east
+        res = self._result(150, -3.0, 0.5)
+        verdicts = {action: self._verdict(res, action.displacement) for action in Action}
+        assert verdicts == {
+            Action.FORWARD: Gate.CLOSEST_APPROACH,
+            Action.BACKWARD: Gate.CLOSEST_APPROACH,
+            Action.LEFT: Gate.CLOSEST_APPROACH,
+            Action.RIGHT: Gate.CLOSING_IN,
+        }
 
     def test_distance_beyond_the_threshold_never_arrives(self):
         # a reading abeam with a lateral offset beyond the threshold is too far
-        for along in (30.0, self.HALF, 0.0, -30.0):
-            assert self._verdict(self._result(150, 7.5), along) is Gate.TOO_FAR
-        assert self._verdict(self._result(150, self.PARAMS.distance_threshold_m), 0.0) is Gate.CLOSEST_APPROACH
+        for south in (30.0, self.HALF, 0.0, -30.0):
+            assert self._verdict(self._result(150, 7.5, south)) is Gate.TOO_FAR
+        edge = self._result(150, self.PARAMS.distance_threshold_m, 0.0)
+        assert self._verdict(edge) is Gate.CLOSEST_APPROACH
 
     def test_weak_match_never_arrives(self):
-        assert self._verdict(self._result(150, 0.0, with_affine=False), math.nan) is Gate.NO_MODEL
-        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 0.0), 0.0) is Gate.FEW_INLIERS
-        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 9.0), -30.0) is Gate.FEW_INLIERS
+        assert self._verdict(self._result(150, 0.0, 0.0, with_affine=False)) is Gate.NO_MODEL
+        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 0.0, 0.0)) is Gate.FEW_INLIERS
+        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 9.0, -30.0)) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         inliers=st.integers(0, 400),
         shortfall=st.integers(0, 300),
         with_affine=st.booleans(),
-        cd=st.floats(0.0, 50.0),
-        along_m=st.one_of(st.floats(-50.0, 50.0), st.just(math.nan)),
+        east=st.floats(-50.0, 50.0),
+        south=st.floats(-50.0, 50.0),
+        action=st.sampled_from(Action),
         half_interval=st.floats(0.05, 2.5),
     )
-    def test_weak_match_never_arrives_property(self, inliers, shortfall, with_affine, cd, along_m, half_interval):
+    def test_weak_match_never_arrives_property(
+        self, inliers, shortfall, with_affine, east, south, action, half_interval
+    ):
         # a result without a model, or with a model below the inlier floor
         params = MatchParams(min_inliers=inliers + shortfall + with_affine)
-        res = self._result(inliers, cd, with_affine)
-        assert gate(res, along_m, half_interval, params) in self.WEAK
+        res = self._result(inliers, east, south, with_affine)
+        assert gate(res, action.displacement, half_interval, params) in self.WEAK
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(
         inliers=st.integers(0, 400),
         min_inliers=st.integers(0, 400),
         with_affine=st.booleans(),
-        cd=st.floats(0.0, 50.0),
-        along_m=st.floats(-50.0, 50.0),
+        east=st.floats(-50.0, 50.0),
+        south=st.floats(-50.0, 50.0),
+        action=st.sampled_from(Action),
         half_interval=st.floats(0.05, 2.5),
         threshold=st.floats(0.0, 20.0),
     )
-    def test_verdict_states_the_rule(self, inliers, min_inliers, with_affine, cd, along_m, half_interval, threshold):
+    def test_verdict_states_the_rule(
+        self, inliers, min_inliers, with_affine, east, south, action, half_interval, threshold
+    ):
         params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
-        res = self._result(inliers, cd, with_affine)
-        verdict = gate(res, along_m, half_interval, params)
+        res = self._result(inliers, east, south, with_affine)
+        verdict = gate(res, action.displacement, half_interval, params)
         # a solid match re-anchors the prediction ...
         solid = with_affine and inliers >= min_inliers
         # ... and arrives within the threshold once it reads abeam, within
         # half an interval, or past it
-        within = solid and cd <= threshold
+        within = solid and res.center_distance_m <= threshold
+        along_m = south * action.displacement[1] - east * action.displacement[0]
         assert (verdict not in self.WEAK) == solid
         assert (verdict is Gate.NO_MODEL) == (not with_affine)
         assert (verdict is Gate.TOO_FAR) == (solid and not within)
@@ -486,21 +508,19 @@ class TestSchedule:
         for row in skipped:
             assert row["matches"] == row["inliers"] == row["center_distance_m"] == ""
 
-    def test_seeded_leg_renders_from_the_margin_on(self, world_and_reg, library, golden_flight):
+    def test_seeded_leg_renders_from_the_margin_on(self, golden_flight):
         # a leg seeded by a solid match of the arrival frame renders no tick
         # until the seed's along-track reading, less the travel since, is
         # within half a sampling interval
-        _, reg = world_and_reg
         cfg, log, calls = golden_flight
         params = cfg.match_params
         margin = cfg.control_step_m * cfg.observation_period / 2.0
         assert margin == 1.0
-        seeds = [calls[i + 1][1:] for i, call in enumerate(calls[:-1]) if call[0] == "rank"]
+        seeds = [calls[i + 1][3] for i, call in enumerate(calls[:-1]) if call[0] == "rank"]
         assert len(seeds) == len(log.arrivals) - 1 >= 1
-        for arrival, (obs, _, seed), nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
+        for arrival, seed, nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
             assert seed.affine is not None and seed.inliers >= params.min_inliers
-            train_size = library.get(seed.target).image_size
-            reading = along_track_m(seed.affine, obs.image_size, train_size, reg.gsd, nxt.action.displacement)
+            reading = seed.along_track_m(nxt.action.displacement)
             ticks = _leg_ticks(log, cfg, arrival.tick, nxt.tick)
             predicted = [reading - (r.tick - arrival.tick) * cfg.control_step_m for r in ticks]
             first = next(i for i, r in enumerate(ticks) if r.attempted)
@@ -524,7 +544,7 @@ class TestSchedule:
         def matching_blind(obs, train, params, gsd, target=None):
             if blind:
                 blind.pop()
-                return MatchResult(target, np.zeros((0, 2), dtype=int), 0, None, None)
+                return MatchResult(target, np.zeros((0, 2), dtype=int), 0, None, None, gsd)
             return match_images(obs, train, params, gsd, target=target)
 
         monkeypatch.setattr(navigator, "target_ranks_first", ranking)
@@ -667,9 +687,9 @@ class TestReadingError:
                 obs = build_descriptor_set(render_observation(world, reg, Pose(*pose), perturb), match_params)
                 train = library.get(target)
                 res = matching.match_images(obs, train, match_params, reg.gsd, target=target)
-                if not gate(res, 0.0, 1.0, match_params).solid:
+                if not gate(res, action.displacement, 1.0, match_params).solid:
                     continue
-                reading = along_track_m(res.affine, obs.image_size, train.image_size, reg.gsd, action.displacement)
+                reading = res.along_track_m(action.displacement)
                 errors.append(abs(reading - along))
                 assert errors[-1] <= jitter + fit_bound
             assert len(errors) >= 27
@@ -716,21 +736,20 @@ class TestReadingError:
         assert arrivals == 122
 
     def test_seeded_leg_first_renders_nearest_its_predicted_abeam(
-        self, world_and_reg, match_params, criterion_6_flights, criterion_6_seeds
+        self, match_params, criterion_6_flights, criterion_6_seeds
     ):
         # on the criterion-6 draw, a leg seeded by a solid match of the
         # arrival frame first renders at the observation tick whose
         # prediction lies within half an interval of abeam, the one nearest it
-        _, reg = world_and_reg
         step, period = MissionConfig.control_step_m, MissionConfig.observation_period
         half = step * period / 2.0
         seeded = 0
         for (_, _, log, _), seeds in zip(criterion_6_flights, criterion_6_seeds):
             assert len(seeds) == len(log.arrivals) - 1
-            for arrival, (seed, obs_size, train_size), nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
+            for arrival, seed, nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
                 if seed.affine is None or seed.inliers < match_params.min_inliers:
                     continue
-                reading = along_track_m(seed.affine, obs_size, train_size, reg.gsd, nxt.action.displacement)
+                reading = seed.along_track_m(nxt.action.displacement)
                 ticks = [r for r in log.records[arrival.tick:nxt.tick] if r.tick % period == 0]
                 predicted = [reading - (r.tick - arrival.tick) * step for r in ticks]
                 first = next(i for i, r in enumerate(ticks) if r.attempted)
@@ -738,6 +757,54 @@ class TestReadingError:
                 assert -half < predicted[first] <= half
                 seeded += 1
         assert seeded == 101  # of 102 legs after an arrival; one seed match is not solid
+
+
+class TestEnvelopeLegs:
+    """One-leg missions from a corner, an edge and a center cell under the
+    criterion-6 gain, bias and noise with 2 m of translation jitter."""
+
+    LEGS = [((0, 0), (1, 0)), ((9, 4), (9, 5)), ((5, 5), (4, 5))]
+
+    def _fly(self, world_and_reg, grid, rewards, library, degrees, rng):
+        world, reg = world_and_reg
+        for start, goal in self.LEGS:
+            goal = LandmarkId(*goal)
+            perturb = PerturbationSpec(
+                gain=float(rng.uniform(0.7, 1.4)),
+                bias=float(rng.uniform(-20.0, 20.0)),
+                noise_sigma=float(rng.uniform(0.0, 5.0)),
+                rotation_jitter=math.radians(degrees),
+                translation_jitter=2.0,
+                rng_seed=int(rng.integers(1 << 31)),
+            )
+            cfg = MissionConfig(
+                start=LandmarkId(*start), goal=goal, policy=greedy_policy(value_iteration(grid, rewards, goal), grid),
+                perturbation=perturb,
+            )
+            yield goal, run_mission(world, reg, grid, cfg, library=library)
+
+    def test_inside_the_envelope_reaches_the_goal(self, world_and_reg, grid, rewards, library):
+        # rotation up to 10 degrees; an arrival is within the bound of
+        # TestReadingError
+        rng = np.random.default_rng(2310)
+        for _ in range(2):
+            for goal, log in self._fly(world_and_reg, grid, rewards, library, 10.0, rng):
+                assert log.outcome == MissionOutcome.REACHED_GOAL
+                (arrival,) = log.arrivals
+                pos = landmark_position(grid, goal)
+                assert math.hypot(arrival.x - pos[0], arrival.y - pos[1]) <= math.hypot(3.75, 3.75)
+
+    @pytest.mark.parametrize("degrees", [25.0, 45.0])
+    def test_outside_the_envelope_ends_in_a_named_outcome(self, world_and_reg, grid, rewards, library, degrees):
+        # recognition may fail, or a rotated frame leave the world raster
+        # (TIMEOUT); no error escapes the flight
+        rng = np.random.default_rng(2311)
+        outcomes = []
+        for goal, log in self._fly(world_and_reg, grid, rewards, library, degrees, rng):
+            assert (log.outcome == MissionOutcome.REACHED_GOAL) == ([r.arrival for r in log.arrivals] == [goal])
+            assert (log.outcome == MissionOutcome.MATCH_FAILURE) == (log.nearest_miss_m is not None)
+            outcomes.append(log.outcome)
+        assert set(outcomes) != {MissionOutcome.REACHED_GOAL}
 
 
 @pytest.fixture(scope="module")

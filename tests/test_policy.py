@@ -1,11 +1,12 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uasnav.errors import PolicyFormatError
-from uasnav.grid import Action, LandmarkId, manhattan, random_start, step
+from uasnav.grid import Action, LandmarkId, RewardSpec, manhattan, random_start, step
 from uasnav.policy import (
     PolicyTable,
     TrainConfig,
@@ -163,6 +164,21 @@ class TestTraining:
                 f"{int(e.reached_goal)}\n".encode()
             )
         assert h.hexdigest() == PHASE1_DIGEST
+
+    def test_overflow_stops_at_the_first_overflowing_update(self, grid, goal, monkeypatch):
+        # valid constants whose action-values overflow within a few episodes:
+        # no episode runs past the one that overflows, and numpy warns of nothing
+        rewards = RewardSpec(collision_penalty=-1.7e308, step_penalty=-1.6e308)
+        started = []
+        epsilon_at = TrainConfig.epsilon_at
+        monkeypatch.setattr(TrainConfig, "epsilon_at", lambda cfg, ep: started.append(ep) or epsilon_at(cfg, ep))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                train(grid, rewards, goal, TrainConfig())
+            with pytest.raises(OverflowError):
+                value_iteration(grid, rewards, goal)
+        assert started == [0, 1, 2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
