@@ -41,6 +41,9 @@ class Pose:
             raise ValueError(f"heading must be in [-pi, pi), got {self.heading}")
 
 
+INTENSITY_LIMIT = 255.0  # bound on a perturbation's gain, |bias| and noise sigma
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Appearance/pose perturbation applied to a rendered observation.
@@ -48,6 +51,12 @@ class PerturbationSpec:
     ``rotation_jitter`` and ``translation_jitter`` are magnitude bounds;
     the draws are uniform in angle and radius. Identity == all zeros with
     gain 1. Draw order per render is fixed: rotation, translation, noise.
+
+    ``gain``, ``|bias|`` and ``noise_sigma`` are at most ``INTENSITY_LIMIT``
+    (255, the whole gray range). Past it a gain sends every gray level
+    above zero past white, a bias alone moves every pixel of a unit-gain
+    view past black or white, and the noise swamps the whole range, so no
+    view is left to match; within it the float32 intensity map stays finite.
     """
 
     gain: float = 1.0
@@ -59,12 +68,13 @@ class PerturbationSpec:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (math.isfinite(self.gain) and self.gain > 0):
-            raise ValueError("gain must be positive and finite")
-        if not math.isfinite(self.bias):
-            raise ValueError("bias must be finite")
-        magnitudes = (self.noise_sigma, self.rotation_jitter, self.translation_jitter)
-        if not all(math.isfinite(v) and v >= 0 for v in magnitudes):
+        if not 0 < self.gain <= INTENSITY_LIMIT:
+            raise ValueError(f"gain must be positive and at most {INTENSITY_LIMIT:g}")
+        if not abs(self.bias) <= INTENSITY_LIMIT:
+            raise ValueError(f"bias must be within +-{INTENSITY_LIMIT:g}")
+        if not 0 <= self.noise_sigma <= INTENSITY_LIMIT:
+            raise ValueError(f"noise_sigma must be non-negative and at most {INTENSITY_LIMIT:g}")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.rotation_jitter, self.translation_jitter)):
             raise ValueError("jitter magnitudes must be non-negative and finite")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")

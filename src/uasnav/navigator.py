@@ -233,33 +233,33 @@ def run_mission(
     reg: GeoRegistration,
     grid: GridSpec,
     cfg: MissionConfig,
-    library: LandmarkLibrary | None = None,
+    library: LandmarkLibrary,
 ) -> MissionLog:
     """Fly from start to goal under the policy; deterministic given seeds.
 
-    Each tick advances the pose by ``control_step_m`` along the commanded
-    cardinal direction. Every ``observation_period`` ticks an observation is
-    rendered and matched against the expected landmark, unless the leg's
-    prediction exceeds half a sampling interval. The prediction is the
-    along-track distance to the landmark that the leg's latest solid match
-    read (``MatchResult.along_track_m``: the view center's offset projected
-    on the commanded direction), less the distance flown since, so a
-    predicted leg renders at the observation tick nearest its predicted
-    abeam. The ``gate`` verdict on the match and the commanded direction
-    alone decides each attempt: a solid one re-anchors the prediction,
-    CLOSEST_APPROACH (a reading within half an interval of abeam, or past
-    it) arrives. At an arrival short of the goal, the arrival
-    frame is matched once against the next target with the arrival's RANSAC
-    seed; a solid match seeds the next leg's prediction, so that leg makes
-    no far render. Before takeoff the policy is walked once, from the start
-    to the goal or to the first repeated cell, and each leg's target is
-    described; a route cell without a policy entry or with a command off
-    the grid raises ``PolicyInconsistencyError`` before the first render.
-    Each leg starts from the true, drifted pose of the last arrival.
-    Exceeding ``max_ticks`` is TIMEOUT. A leg that overruns its travel
-    budget, or whose jittered footprint leaves the world raster, ends the
-    mission in MATCH_FAILURE if the craft passed near the landmark
-    (recognition failed), else TIMEOUT.
+    Before takeoff the policy is walked once, from the start to the goal or
+    to the first repeated cell, and each leg's target is described; a route
+    cell without a policy entry or with a command off the grid raises
+    ``PolicyInconsistencyError`` before the first render.
+
+    Each leg starts from the true, drifted pose of the last arrival and
+    opens by matching that arrival's frame (none on the first leg) against
+    its own target, with the arrival's RANSAC seed. Each tick advances the
+    pose by ``control_step_m`` along the commanded cardinal direction; every
+    ``observation_period`` ticks an observation is rendered and matched
+    against the target, unless the leg's prediction exceeds half a sampling
+    interval. The prediction is the along-track distance to the target that
+    the leg's latest solid match read (``MatchResult.along_track_m``), less
+    the distance flown since, so a predicted leg renders at the observation
+    tick nearest its predicted abeam. The ``gate`` verdict decides each
+    match: a solid one, the opening match included, anchors the prediction;
+    CLOSEST_APPROACH on a rendered frame arrives, and that frame opens the
+    next leg.
+
+    A leg that overruns its travel budget, or whose jittered footprint
+    leaves the world raster, ends the mission in MATCH_FAILURE if the craft
+    passed near the landmark (recognition failed), else TIMEOUT. Running out
+    of ``max_ticks`` is TIMEOUT only while the leg has travel budget left.
     """
     grid.check(cfg.start)
     grid.check(cfg.goal)
@@ -267,9 +267,7 @@ def run_mission(
     if cfg.max_ticks * cfg.control_step_m <= diameter_m:
         raise InvalidStateError("max_ticks too small to cross the grid")
     params = cfg.match_params
-    if library is None:
-        library = LandmarkLibrary(world, reg, grid, params)
-    elif library.params.max_keypoints != params.max_keypoints:
+    if library.params.max_keypoints != params.max_keypoints:
         # the library's descriptor sets were detected with its own cap
         raise InvalidStateError(
             f"landmark library describes with max_keypoints={library.params.max_keypoints}, "
@@ -295,90 +293,77 @@ def run_mission(
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     records: list[TickRecord] = []
-
-    def end(outcome: MissionOutcome, nearest_miss: float | None = None) -> MissionLog:
-        return MissionLog(
-            start=cfg.start,
-            goal=cfg.goal,
-            records=records,
-            outcome=outcome,
-            distance_flown_m=len(records) * cfg.control_step_m,
-            nearest_miss_m=nearest_miss,
-        )
-
-    def fly_leg(cell: LandmarkId, reach: float) -> MissionLog | float:
-        """Fly the leg from ``cell`` on from the current pose; ``reach`` is
-        the travel at which the arrival frame puts the target abeam, -inf
-        without a solid seed match. Once the target is reached, returns the
-        next leg's ``reach``; else the log of the mission that ends on it."""
-        nonlocal pose
+    cell, frame = cfg.start, None  # frame: the last arrival's (obs_set, attempt_params)
+    while cell != cfg.goal:
         action, target = legs[cell]
         target_pos = landmark_position(grid, target)
         step = cfg.control_step_m * np.array(action.displacement, dtype=np.float64)
         leg_budget = (
             float(np.linalg.norm(target_pos - pose)) + 2.0 * params.distance_threshold_m + LEG_SLACK_M
         )
-        travelled = 0.0
-        min_true = math.inf
+        # reach: the travel at which the target reads abeam (-inf unread)
+        travelled, min_true, reach = 0.0, math.inf, -math.inf
+        if frame is not None:
+            res = match_images(frame[0], library.get(target), frame[1], reg.gsd, target=target)
+            if gate(res, action.displacement, half_interval, params).solid:
+                reach = res.along_track_m(action.displacement)
+            frame = None
 
-        while travelled < leg_budget:
-            if len(records) >= cfg.max_ticks:
-                return end(MissionOutcome.TIMEOUT)
+        while frame is None and travelled < leg_budget and len(records) < cfg.max_ticks:
             pose = pose + step
             travelled += cfg.control_step_m
             min_true = min(min_true, float(np.linalg.norm(pose - target_pos)))
             rec = TickRecord(tick=len(records) + 1, x=float(pose[0]), y=float(pose[1]), action=action)
             records.append(rec)
+            # reach - travelled is the prediction: no render while it exceeds half an interval
+            if rec.tick % cfg.observation_period != 0 or not (reach - travelled <= half_interval):
+                continue
+            try:
+                obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
+            except CoverageError:
+                leg_budget = travelled  # the craft can no longer observe this leg
+                break
+            obs_set = build_descriptor_set(obs, params)
+            attempt = rec.tick // cfg.observation_period
+            # one RANSAC seed per attempt, for the target, any rival fit and
+            # the next leg's opening match
+            attempt_params = replace(params, rng_seed=params.rng_seed + attempt)
+            res = match_images(obs_set, library.get(target), attempt_params, reg.gsd, target=target)
+            rec.attempted = True
+            rec.n_matches = res.n_matches
+            rec.inliers = res.inliers
+            rec.center_distance_m = res.center_distance_m
+            verdict = gate(res, action.displacement, half_interval, params)
+            if verdict.solid:
+                reach = travelled + res.along_track_m(action.displacement)
+            if verdict is Gate.CLOSEST_APPROACH:
+                # re-rank the departure cell's neighbors, reusing this
+                # attempt's match of the target
+                rec.arrival = target
+                rec.confirmed = target_ranks_first(
+                    obs_set, res, neighbors(grid, cell).values(), library.get, attempt_params, reg.gsd
+                )
+                frame = obs_set, attempt_params
+        if frame is None:
+            break  # the leg ended short of its target
+        cell = target
 
-            # reach - travelled is the predicted along-track distance: skip the
-            # render while it exceeds half an interval
-            if rec.tick % cfg.observation_period == 0 and reach - travelled <= half_interval:
-                try:
-                    obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
-                except CoverageError:
-                    break  # the craft can no longer observe this leg
-                obs_set = build_descriptor_set(obs, params)
-                attempt = rec.tick // cfg.observation_period
-                # one RANSAC seed per attempt, for the target and any rival fit
-                attempt_params = replace(params, rng_seed=params.rng_seed + attempt)
-                res = match_images(obs_set, library.get(target), attempt_params, reg.gsd, target=target)
-                rec.attempted = True
-                rec.n_matches = res.n_matches
-                rec.inliers = res.inliers
-                rec.center_distance_m = res.center_distance_m
-                verdict = gate(res, action.displacement, half_interval, params)
-                if verdict.solid:
-                    reach = travelled + res.along_track_m(action.displacement)
-                if verdict is Gate.CLOSEST_APPROACH:
-                    # re-rank the departure cell's neighbors, reusing this
-                    # attempt's match of the target
-                    rec.arrival = target
-                    rec.confirmed = target_ranks_first(
-                        obs_set, res, neighbors(grid, cell).values(), library.get, attempt_params, reg.gsd
-                    )
-                    if target == cfg.goal:
-                        return -math.inf
-                    # seed the next leg from this frame; its target was
-                    # described before takeoff
-                    next_action, next_target = legs[target]
-                    seed = match_images(
-                        obs_set, library.get(next_target), attempt_params, reg.gsd, target=next_target
-                    )
-                    if gate(seed, next_action.displacement, half_interval, params).solid:
-                        return seed.along_track_m(next_action.displacement)
-                    return -math.inf
-        # the leg overran: recognition failed if the craft passed near the landmark
-        if min_true <= near_pass_m:
-            return end(MissionOutcome.MATCH_FAILURE, min_true)
-        return end(MissionOutcome.TIMEOUT)
-
-    cell, reach = cfg.start, -math.inf
-    while cell != cfg.goal:
-        ended = fly_leg(cell, reach)
-        if isinstance(ended, MissionLog):
-            return ended
-        cell, reach = legs[cell][1], ended
-    return end(MissionOutcome.REACHED_GOAL)
+    # a leg that overran failed recognition if the craft passed near the landmark
+    nearest_miss = None
+    if cell == cfg.goal:
+        outcome = MissionOutcome.REACHED_GOAL
+    elif travelled >= leg_budget and min_true <= near_pass_m:
+        outcome, nearest_miss = MissionOutcome.MATCH_FAILURE, min_true
+    else:
+        outcome = MissionOutcome.TIMEOUT
+    return MissionLog(
+        start=cfg.start,
+        goal=cfg.goal,
+        records=records,
+        outcome=outcome,
+        distance_flown_m=len(records) * cfg.control_step_m,
+        nearest_miss_m=nearest_miss,
+    )
 
 
 MISSION_CSV_HEADER = (

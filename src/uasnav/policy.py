@@ -308,6 +308,18 @@ def rollout(
     return log
 
 
+def _finite_mean(values: list[float]) -> float:
+    """The mean of finite values. Where their plain sum overflows, they are
+    averaged scaled to the largest magnitude, so the mean stays finite."""
+    a = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(a))
+    if np.isinf(mean):
+        scale = float(np.max(np.abs(a)))
+        mean = float(np.mean(a / scale)) * scale
+    return mean
+
+
 def evaluate(
     grid: GridSpec,
     rewards: RewardSpec,
@@ -331,7 +343,7 @@ def evaluate(
     return EvalSummary(
         mean_steps=float(np.mean([e.steps for e in logs])),
         success_rate=float(np.mean([e.reached_goal for e in logs])),
-        mean_reward=float(np.mean([e.cumulative_reward for e in logs])),
+        mean_reward=_finite_mean([e.cumulative_reward for e in logs]),
         episodes=logs,
     )
 

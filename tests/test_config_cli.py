@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from dataclasses import fields
@@ -177,6 +178,16 @@ class TestCliTrainEval:
         assert "success_rate=1.00" in out
         assert "benchmark mean: 6.53" in out
         assert "enumerated optimal mean for goal (5,5): 5.0505" in out
+
+    def test_eval_mean_reward_near_the_float_limit_is_finite(self, tmp_path, capsys):
+        argv = ["--set", f"run.output_dir={tmp_path}", "--set", "rewards.goal_reward=1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", *argv, "--set", "train.episodes=600"]) == 0
+            assert main(["eval", *argv]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("eval:"))
+        assert math.isfinite(float(line.split("mean_reward=")[1]))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_eval_transitions_export(self, outdir, tmp_path, capsys):
         path = tmp_path / "transitions.csv"
@@ -517,6 +528,22 @@ class TestCliBuildEnvAndFly:
         "matching.inlier_tol_px=nan",
     ])
     def test_fly_rejects_non_finite_float(self, built, tmp_path, optimal_policy, capsys, override):
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, override)
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert override.split("=")[0].split(".")[1] in last
+
+    @pytest.mark.parametrize("override", [
+        "mission.gain=1e308",
+        "mission.gain=255.5",
+        "mission.bias=-1e308",
+        "mission.bias=256",
+        "mission.noise_sigma=1e308",
+    ])
+    def test_fly_rejects_intensity_past_the_limit(self, built, tmp_path, optimal_policy, capsys, override):
+        # a view past the limit is flat or all noise, and its float32 render
+        # would overflow; the config refuses it before the first render
         code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, override)
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 2

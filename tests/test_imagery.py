@@ -11,6 +11,7 @@ from scipy.ndimage import map_coordinates
 from uasnav.errors import ConfigError, CoverageError
 from uasnav.grid import GridSpec, LandmarkId, landmark_position
 from uasnav.imagery import (
+    INTENSITY_LIMIT,
     MAX_WORLD_PIXELS,
     OBS_HEIGHT,
     OBS_WIDTH,
@@ -481,6 +482,24 @@ class TestRenderObservation:
             PerturbationSpec(gain=0.0)
         with pytest.raises(ValueError):
             PerturbationSpec(noise_sigma=-1.0)
+
+    def test_intensity_perturbation_bounded_at_the_limit(self):
+        PerturbationSpec(gain=INTENSITY_LIMIT, bias=-INTENSITY_LIMIT, noise_sigma=INTENSITY_LIMIT)
+        PerturbationSpec(bias=INTENSITY_LIMIT)
+        past = math.nextafter(INTENSITY_LIMIT, math.inf)
+        for field, value in (("gain", past), ("bias", past), ("bias", -past), ("noise_sigma", past)):
+            with pytest.raises(ValueError, match=field):
+                PerturbationSpec(**{field: value})
+
+    def test_render_at_the_intensity_limit_stays_finite(self, world_and_reg, grid):
+        # the largest accepted gain, bias and noise: no overflow, a clamped view
+        world, reg = world_and_reg
+        x, y = landmark_position(grid, LandmarkId(5, 5))
+        spec = PerturbationSpec(gain=INTENSITY_LIMIT, bias=INTENSITY_LIMIT, noise_sigma=INTENSITY_LIMIT, rng_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = render_observation(world, reg, Pose(x, y), spec, rng=np.random.default_rng(0))
+        assert obs.min() >= 0.0 and obs.max() == 255.0
 
     @pytest.mark.parametrize("field", ["gain", "bias", "noise_sigma", "rotation_jitter", "translation_jitter"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -155,7 +155,7 @@ class TestMatch:
         matches = match_descriptors(q, t, ratio=0.8)
         assert len(matches) <= 5  # <= 5% of query size
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_query=st.integers(1, 30),
@@ -226,6 +226,26 @@ class TestRansac:
         assert abs(math.degrees(model.rotation) - 6.0) < 0.5
         assert mask.sum() >= n_in
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        degrees=st.floats(-10.0, 10.0),
+        scale=st.floats(0.9, 1.1),
+        shift=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_envelope_affine_recovered_property(self, degrees, scale, shift, seed):
+        # criterion 4's draw with a scale: 80 inliers at 0.25 px noise among
+        # 120 outliers (60%), recovered within its 0.5 px / 0.5 degree
+        rng = np.random.default_rng(seed)
+        truth = _rotation_affine(math.radians(degrees), *shift)
+        truth[:, :2] *= scale
+        src = rng.uniform(0.0, 640.0, (200, 2))
+        dst = rng.uniform(0.0, 480.0, (200, 2))
+        dst[:80] = src[:80] @ truth[:, :2].T + truth[:, 2] + rng.normal(0.0, 0.25, (80, 2))
+        model, _ = estimate_affine_ransac(src, dst, inlier_tol_px=2.0, iterations=200, rng_seed=seed)
+        assert np.abs(model.translation - truth[:, 2]).max() < 0.5
+        assert abs(math.degrees(model.rotation) - degrees) < 0.5
+
     def test_too_few_correspondences(self):
         src = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InsufficientMatchesError):
@@ -247,7 +267,7 @@ class TestRansac:
 
 
 class TestRansacTriples:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         n=st.one_of(st.integers(3, 40), st.integers(3, 2**62)),
         count=st.integers(1, 600),

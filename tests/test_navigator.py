@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
-from uasnav.grid import Action, LandmarkId, landmark_position, manhattan, neighbors
+from uasnav.grid import Action, GridSpec, LandmarkId, landmark_position, manhattan, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, WorldSpec, build_world, render_observation
 from uasnav.matching import AffineTransform, MatchParams, MatchResult, build_descriptor_set
 from uasnav.navigator import (
@@ -81,6 +81,19 @@ def golden_flight(world_and_reg, grid, optimal_policy, goal, library):
 def golden_mission(golden_flight):
     cfg, log, _ = golden_flight
     return cfg, log
+
+
+@pytest.fixture(scope="module")
+def short_leg():
+    """A 2x2 lattice with one 40 m leg east from (0, 0) to (1, 0), and the
+    gate shut by an impossible inlier requirement: ``(world, reg, grid,
+    library, policy)``."""
+    grid = GridSpec(cols=2, rows=2, spacing_x=40, spacing_y=10)
+    world, reg = build_world(grid, WorldSpec())
+    library = LandmarkLibrary(world, reg, grid, MatchParams(min_inliers=100_000))
+    goal = LandmarkId(1, 0)
+    policy = PolicyTable(best_action={LandmarkId(0, 0): Action.RIGHT}, goal=goal, cols=grid.cols, rows=grid.rows)
+    return world, reg, grid, library, policy
 
 
 def _leg_ticks(log, cfg, after, until):
@@ -369,6 +382,29 @@ class TestMission:
         assert log.nearest_miss_m is None
         assert log.ticks == 638
 
+    @pytest.mark.parametrize(
+        "max_ticks, outcome, ticks, nearest_miss",
+        [
+            (59, MissionOutcome.TIMEOUT, 59, None),
+            (60, MissionOutcome.MATCH_FAILURE, 60, 0.0),
+            (61, MissionOutcome.MATCH_FAILURE, 60, 0.0),
+        ],
+    )
+    def test_travel_budget_ends_a_leg_before_the_tick_budget(
+        self, short_leg, max_ticks, outcome, ticks, nearest_miss
+    ):
+        # the one leg runs out of travel budget at tick 60 (40 m, twice the
+        # 5 m distance threshold and 10 m of slack): on that tick it ends by
+        # the near-pass rule even when it is also the last allowed tick, and
+        # the tick budget is TIMEOUT only while travel budget is left
+        world, reg, grid, library, policy = short_leg
+        cfg = MissionConfig(
+            start=LandmarkId(0, 0), goal=LandmarkId(1, 0), policy=policy,
+            max_ticks=max_ticks, match_params=library.params,
+        )
+        log = run_mission(world, reg, grid, cfg, library=library)
+        assert (log.outcome, log.ticks, log.nearest_miss_m) == (outcome, ticks, nearest_miss)
+
     def test_unrecognizable_landmark_is_match_failure(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
         # an impossible inlier requirement keeps the gate shut; the craft
@@ -413,7 +449,7 @@ class TestMission:
             policy=greedy_policy(value_iteration(grid, rewards, goal), grid),
             perturbation=PerturbationSpec(rotation_jitter=0.05, rng_seed=1),
         )
-        log = run_mission(world, reg, grid, cfg)
+        log = run_mission(world, reg, grid, cfg, library=LandmarkLibrary(world, reg, grid, cfg.match_params))
         assert log.outcome == MissionOutcome.TIMEOUT
         assert log.ticks == 2
         assert log.nearest_miss_m is None
@@ -595,7 +631,7 @@ class TestSchedule:
         monkeypatch.setattr(navigator, "landmark_descriptor_image", recording_describe)
         monkeypatch.setattr(navigator, "render_observation", recording_render)
         cfg = MissionConfig(start=LandmarkId(4, 4), goal=goal, policy=optimal_policy)
-        log = run_mission(world, reg, grid, cfg)
+        log = run_mission(world, reg, grid, cfg, library=LandmarkLibrary(world, reg, grid, cfg.match_params))
         assert log.outcome == MissionOutcome.REACHED_GOAL
         renders = [i for i, ev in enumerate(events) if ev == "render"]
         assert {r.arrival for r in log.arrivals} <= set(events[:renders[0]])

@@ -224,6 +224,20 @@ class TestEvaluate:
         for log in summary.episodes:
             assert log == rollout(grid, rewards, optimal_policy, random_start(grid, goal, rng))
 
+    def test_mean_reward_near_the_float_limit_is_finite(self, grid, goal, optimal_policy):
+        # every episode earns about 1e308, so the plain sum of 100 overflows
+        rewards = RewardSpec(goal_reward=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = evaluate(grid, rewards, optimal_policy, episodes=100, rng_seed=23)
+        with np.errstate(over="ignore"):
+            assert np.mean([e.cumulative_reward for e in summary.episodes]) == np.inf
+        assert summary.mean_reward == pytest.approx(1e308, rel=1e-12)
+
+    def test_mean_reward_is_the_plain_mean_in_range(self, grid, rewards, optimal_policy):
+        summary = evaluate(grid, rewards, optimal_policy, episodes=100, rng_seed=23)
+        assert summary.mean_reward == float(np.mean([e.cumulative_reward for e in summary.episodes]))
+
     def test_zero_episodes_rejected(self, grid, rewards, optimal_policy):
         with pytest.raises(ValueError, match="at least one episode"):
             evaluate(grid, rewards, optimal_policy, episodes=0, rng_seed=1)
