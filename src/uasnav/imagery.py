@@ -12,6 +12,7 @@ hundreds of detectable corners.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,11 @@ from .raster import GeoRegistration, RasterImage, to_gray
 OBS_WIDTH = 640
 OBS_HEIGHT = 480
 # synthetic world area bound, 13x the default world; the build peaks near
-# 5.4 float64 world planes, some 2.2 GB at this bound
+# 1.5 float64 world planes, some 0.6 GB at this bound
 MAX_WORLD_PIXELS = 50_000_000
+# rows per synthesis strip: the gray plane and the uint8 raster are the only
+# full-size arrays of a build
+_STRIP_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -147,21 +151,35 @@ def check_world_coverage(width: int, height: int, reg: GeoRegistration, grid: Gr
             )
 
 
-def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell_px: int) -> np.ndarray:
+def _value_noise(
+    rng: np.random.Generator, shape: tuple[int, int], cell_px: int
+) -> Callable[[slice], np.ndarray]:
     """Bilinear value noise in [0, 1] with the given lattice pitch: the bits of
     scipy's ``map_coordinates(coarse, pixel / cell_px, order=1)``, computed
     separably. As in scipy, an axis's far weight is one minus its near weight,
     and each sample sums value * y weight * x weight corner by corner. Two spare
-    lattice rows and columns keep the far corner in range: no edge mode applies."""
+    lattice rows and columns keep the far corner in range: no edge mode applies.
+
+    The lattice is drawn now; the returned function gives the noise of a
+    slice of rows, so that no caller holds a full plane of it."""
     coarse = rng.uniform(0.0, 1.0, (shape[0] // cell_px + 2, shape[1] // cell_px + 2))
     (y0, wy0, wy1), (x0, wx0, wx1) = (_lattice_weights(n, cell_px) for n in shape)
-    top = coarse[y0] * wy0[:, None]
-    bot = coarse[y0 + 1] * wy1[:, None]
-    out = top[:, x0] * wx0
-    out += top[:, x0 + 1] * wx1
-    out += bot[:, x0] * wx0
-    out += bot[:, x0 + 1] * wx1
-    return out
+
+    def rows(s: slice) -> np.ndarray:
+        top = coarse[y0[s]] * wy0[s, None]
+        bot = coarse[y0[s] + 1] * wy1[s, None]
+        out = top[:, x0] * wx0
+        out += top[:, x0 + 1] * wx1
+        out += bot[:, x0] * wx0
+        out += bot[:, x0 + 1] * wx1
+        return out
+
+    return rows
+
+
+def _row_strips(height: int) -> list[slice]:
+    """The synthesis strips of a ``height``-row raster, top to bottom."""
+    return [slice(r, r + _STRIP_ROWS) for r in range(0, height, _STRIP_ROWS)]
 
 
 def _lattice_weights(n: int, cell_px: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,17 +251,27 @@ def build_world(grid: GridSpec, spec: WorldSpec = WorldSpec()) -> tuple[RasterIm
 
     rng = np.random.default_rng(spec.seed)
     gray = np.full((height, width), 96.0)
-    for cell, amp in ((256, 42.0), (96, 20.0), (32, 10.0)):
-        gray += amp * (2.0 * _value_noise(rng, gray.shape, cell) - 1.0)
+    strips = _row_strips(height)
+    # no draw falls between the three lattices, so drawing them all before the
+    # first strip keeps the order of one full-plane octave after another
+    octaves = [
+        (amp, _value_noise(rng, gray.shape, cell)) for cell, amp in ((256, 42.0), (96, 20.0), (32, 10.0))
+    ]
+    for s in strips:
+        for amp, noise in octaves:
+            gray[s] += amp * (2.0 * noise(s) - 1.0)
     _paint_parcels(rng, gray)
     _paint_roads(rng, gray)
-    gray += rng.integers(-8, 9, gray.shape)
+    for s in strips:  # the strip draws concatenate to one full-plane draw
+        gray[s] += rng.integers(-8, 9, gray[s].shape)
     np.clip(gray, 8.0, 247.0, out=gray)
 
     pixels = np.empty((height, width, 3), dtype=np.uint8)
     for ch, (lo, hi) in enumerate(((0.88, 1.10), (0.92, 1.12), (0.82, 1.04))):
-        tint = gray * (lo + (hi - lo) * _value_noise(rng, gray.shape, 192))
-        pixels[:, :, ch] = np.rint(np.clip(tint, 0.0, 255.0, out=tint), out=tint)
+        noise = _value_noise(rng, gray.shape, 192)
+        for s in strips:
+            tint = gray[s] * (lo + (hi - lo) * noise(s))
+            pixels[s, :, ch] = np.rint(np.clip(tint, 0.0, 255.0, out=tint), out=tint)
 
     return RasterImage(pixels=pixels), reg
 

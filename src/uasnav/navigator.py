@@ -266,6 +266,11 @@ def run_mission(
     diameter_m = (grid.cols - 1) * grid.spacing_x + (grid.rows - 1) * grid.spacing_y
     if cfg.max_ticks * cfg.control_step_m <= diameter_m:
         raise InvalidStateError("max_ticks too small to cross the grid")
+    if cfg.control_step_m > diameter_m:
+        # such a step flies past every landmark between two ticks
+        raise InvalidStateError(
+            f"control step {cfg.control_step_m:g} m exceeds the grid's diameter {diameter_m:g} m"
+        )
     params = cfg.match_params
     if library.params.max_keypoints != params.max_keypoints:
         # the library's descriptor sets were detected with its own cap

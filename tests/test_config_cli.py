@@ -519,6 +519,18 @@ class TestCliBuildEnvAndFly:
         assert last.startswith("status=error code=2")
         assert "control step" in last
 
+    @pytest.mark.parametrize("step", ["631", "1e308"])
+    def test_fly_rejects_control_step_past_the_grid_diameter(self, built, tmp_path, optimal_policy, capsys, step):
+        # the default grid's diameter is 9 * 40 + 9 * 30 = 630 m; 1e308 m
+        # overflowed the pixel mapping and timed out after one tick
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, f"mission.control_step_m={step}")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 3
+        assert last.startswith("status=error code=3")
+        assert "control step" in last and "diameter 630 m" in last
+
     @pytest.mark.parametrize("override", [
         "mission.control_step_m=nan",
         "mission.translation_jitter_m=inf",

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
 from uasnav.errors import ConfigError, CoverageError
@@ -18,6 +18,8 @@ from uasnav.imagery import (
     PerturbationSpec,
     Pose,
     WorldSpec,
+    _STRIP_ROWS,
+    _row_strips,
     _value_noise,
     build_world,
     check_world_coverage,
@@ -62,21 +64,58 @@ class TestBuildWorld:
         cell_px=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a height of exactly one strip, one shorter than a strip, and one that
+    # is not a multiple of the strip
+    @example(shape=(_STRIP_ROWS, 301), cell_px=7, seed=1)
+    @example(shape=(_STRIP_ROWS - 5, 64), cell_px=256, seed=2)
+    @example(shape=(3 * _STRIP_ROWS + 11, 97), cell_px=32, seed=3)
     def test_value_noise_is_bit_identical_to_reference(self, shape, cell_px, seed):
-        got = _value_noise(np.random.default_rng(seed), shape, cell_px)
+        noise = _value_noise(np.random.default_rng(seed), shape, cell_px)
+        got = np.concatenate([noise(s) for s in _row_strips(shape[0])])
         ref = _reference_value_noise(np.random.default_rng(seed), shape, cell_px)
         assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape == shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
-    def test_traced_peak_is_at_most_seven_planes(self, grid):
-        # the scipy synthesis peaked at 11.0 float64 world planes, this one at 5.4
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        half_width=st.integers(0, 150),
+        height=st.integers(1, 120),
+        half_strip=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_strip_integer_draws_equal_one_full_draw(self, half_width, height, half_strip, seed):
+        # bounded 32-bit draws keep their spare half word in the bit
+        # generator, not in the call, so strips of odd size concatenate to
+        # the full-plane draw and leave the generator in the same state
+        width, strip = 2 * half_width + 1, 2 * half_strip + 1
+        full_rng, strip_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        full = full_rng.integers(-8, 9, (height, width))
+        strips = [strip_rng.integers(-8, 9, (min(strip, height - r), width)) for r in range(0, height, strip)]
+        assert np.array_equal(np.concatenate(strips), full)
+        assert full_rng.bit_generator.state == strip_rng.bit_generator.state
+        assert full_rng.uniform() == strip_rng.uniform()
+
+    @pytest.mark.parametrize("strip_rows", [1, 7, 33, 10_000])
+    def test_world_bytes_do_not_depend_on_the_strip(self, monkeypatch, strip_rows):
+        # 10,000 rows is one strip, the whole plane at once
+        grid = GridSpec(cols=2, rows=3)
+        ref, _ = build_world(grid, WorldSpec(seed=5))
+        monkeypatch.setattr("uasnav.imagery._STRIP_ROWS", strip_rows)
+        got, _ = build_world(grid, WorldSpec(seed=5))
+        assert np.array_equal(got.pixels, ref.pixels)
+
+    def test_traced_peak_is_at_most_two_planes(self, grid):
+        # the scipy synthesis peaked at 11.0 float64 world planes, the
+        # full-plane separable one at 5.4; in row strips the gray plane and
+        # the uint8 raster (1.375 planes) are the only full-size arrays, and
+        # the strips' temporaries take about 0.1 plane more
         tracemalloc.start()
         try:
             world, _ = build_world(grid, WorldSpec())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * world.width * world.height * 8
+        assert peak <= 2 * world.width * world.height * 8
 
     @pytest.mark.parametrize(
         "field, value",
