@@ -5,10 +5,13 @@ and periodically renders a (perturbed) observation. Arrival at the expected
 next landmark is a perception event: the observation is matched against
 that landmark's descriptor image, and the landmark counts as reached when
 a solid match within the distance threshold reads it abeam, within half a
-sampling interval, or past it. The pose is never snapped to the lattice,
-so perception latency and jitter show up as honest drift; at each arrival
-a four-way ranking pass over the departure cell's neighbors re-confirms
-which landmark was reached.
+sampling interval, or past it. Renders wait until the view centre that
+the last solid match read, dead-reckoned since, is within half an interval
+of abeam; an arrival's reading carries into the next leg, and the first leg
+renders every period until its first solid match. The pose is never snapped
+to the lattice, so perception latency and jitter show up as honest drift;
+at each arrival a four-way ranking pass over the departure cell's neighbors
+re-confirms which landmark was reached.
 """
 
 from __future__ import annotations
@@ -242,19 +245,18 @@ def run_mission(
     cell without a policy entry or with a command off the grid raises
     ``PolicyInconsistencyError`` before the first render.
 
-    Each leg starts from the true, drifted pose of the last arrival and
-    opens by matching that arrival's frame (none on the first leg) against
-    its own target, with the arrival's RANSAC seed. Each tick advances the
-    pose by ``control_step_m`` along the commanded cardinal direction; every
-    ``observation_period`` ticks an observation is rendered and matched
-    against the target, unless the leg's prediction exceeds half a sampling
-    interval. The prediction is the along-track distance to the target that
-    the leg's latest solid match read (``MatchResult.along_track_m``), less
-    the distance flown since, so a predicted leg renders at the observation
-    tick nearest its predicted abeam. The ``gate`` verdict decides each
-    match: a solid one, the opening match included, anchors the prediction;
-    CLOSEST_APPROACH on a rendered frame arrives, and that frame opens the
-    next leg.
+    Each leg starts from the true, drifted pose of the last arrival. Each
+    tick advances the pose by ``control_step_m`` along the commanded
+    cardinal direction, and the estimate ``est`` with it. ``est`` is the
+    view centre that the latest solid match read: its target's position
+    plus ``MatchResult.offset_px`` in meters. Every ``observation_period``
+    ticks an observation is rendered and matched against the target,
+    unless the prediction, ``est``'s along-track distance to the target,
+    exceeds half a sampling interval; so a leg renders at the observation
+    tick nearest its predicted abeam. ``est`` is None until the mission's
+    first solid match, and the first leg renders every period until then.
+    The ``gate`` verdict decides each match: a solid one resets ``est``;
+    CLOSEST_APPROACH arrives, and its ``est`` carries into the next leg.
 
     A leg that overruns its travel budget, or whose jittered footprint
     leaves the world raster, ends the mission in MATCH_FAILURE if the craft
@@ -298,7 +300,7 @@ def run_mission(
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     records: list[TickRecord] = []
-    cell, frame = cfg.start, None  # frame: the last arrival's (obs_set, attempt_params)
+    cell, est = cfg.start, None  # est: the view centre the last solid match read, dead-reckoned since
     while cell != cfg.goal:
         action, target = legs[cell]
         target_pos = landmark_position(grid, target)
@@ -306,32 +308,28 @@ def run_mission(
         leg_budget = (
             float(np.linalg.norm(target_pos - pose)) + 2.0 * params.distance_threshold_m + LEG_SLACK_M
         )
-        # reach: the travel at which the target reads abeam (-inf unread)
-        travelled, min_true, reach = 0.0, math.inf, -math.inf
-        if frame is not None:
-            res = match_images(frame[0], library.get(target), frame[1], reg.gsd, target=target)
-            if gate(res, action.displacement, half_interval, params).solid:
-                reach = res.along_track_m(action.displacement)
-            frame = None
-
-        while frame is None and travelled < leg_budget and len(records) < cfg.max_ticks:
+        travelled, min_true = 0.0, math.inf
+        while travelled < leg_budget and len(records) < cfg.max_ticks:
             pose = pose + step
+            if est is not None:
+                est = est + step
             travelled += cfg.control_step_m
             min_true = min(min_true, float(np.linalg.norm(pose - target_pos)))
             rec = TickRecord(tick=len(records) + 1, x=float(pose[0]), y=float(pose[1]), action=action)
             records.append(rec)
-            # reach - travelled is the prediction: no render while it exceeds half an interval
-            if rec.tick % cfg.observation_period != 0 or not (reach - travelled <= half_interval):
+            # no render while est reads the target more than half an interval ahead
+            if rec.tick % cfg.observation_period != 0 or (
+                est is not None and (target_pos - est) @ action.displacement > half_interval
+            ):
                 continue
             try:
                 obs = render_observation(world, reg, Pose(rec.x, rec.y), cfg.perturbation, rng=rng)
             except CoverageError:
-                leg_budget = travelled  # the craft can no longer observe this leg
-                break
+                leg_budget = travelled  # the craft can no longer observe this leg: the loop ends
+                continue
             obs_set = build_descriptor_set(obs, params)
             attempt = rec.tick // cfg.observation_period
-            # one RANSAC seed per attempt, for the target, any rival fit and
-            # the next leg's opening match
+            # one RANSAC seed per attempt, for the target and any rival fit
             attempt_params = replace(params, rng_seed=params.rng_seed + attempt)
             res = match_images(obs_set, library.get(target), attempt_params, reg.gsd, target=target)
             rec.attempted = True
@@ -340,7 +338,7 @@ def run_mission(
             rec.center_distance_m = res.center_distance_m
             verdict = gate(res, action.displacement, half_interval, params)
             if verdict.solid:
-                reach = travelled + res.along_track_m(action.displacement)
+                est = target_pos + res.offset_px * (reg.gsd, -reg.gsd)
             if verdict is Gate.CLOSEST_APPROACH:
                 # re-rank the departure cell's neighbors, reusing this
                 # attempt's match of the target
@@ -348,8 +346,8 @@ def run_mission(
                 rec.confirmed = target_ranks_first(
                     obs_set, res, neighbors(grid, cell).values(), library.get, attempt_params, reg.gsd
                 )
-                frame = obs_set, attempt_params
-        if frame is None:
+                break
+        else:
             break  # the leg ended short of its target
         cell = target
 
@@ -395,14 +393,6 @@ def write_mission_csv(log: MissionLog, path) -> None:
                 r.arrival.row if r.arrival else "",
                 "" if r.confirmed is None else int(r.confirmed),
             ])
-
-
-def read_mission_poses(path) -> np.ndarray:
-    """(tick, x, y) rows back from a mission CSV; used by round-trip checks."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [(int(r["tick"]), float(r["x_m"]), float(r["y_m"])) for r in reader]
-    return np.array(rows)
 
 
 def export_trajectory(

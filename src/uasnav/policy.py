@@ -221,13 +221,6 @@ def value_iteration(
     raise RuntimeError(f"value iteration did not converge within {max_iterations} iterations")
 
 
-def bellman_residual(qtable: QTable, grid: GridSpec, rewards: RewardSpec) -> float:
-    """Sup-norm residual of the Bellman optimality equation at every (s, a)."""
-    tables = _transition_tables(grid, rewards, qtable.goal)
-    backup = _backup(qtable.values, tables, grid.flat_index(qtable.goal), qtable.discount)
-    return float(np.abs(backup - qtable.values).max())
-
-
 def train(
     grid: GridSpec,
     rewards: RewardSpec,

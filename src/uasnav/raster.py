@@ -76,12 +76,6 @@ class GeoRegistration:
         py = (self.origin[1] - xy[..., 1]) / self.gsd
         return np.stack([px, py], axis=-1)
 
-    def pixel_to_world(self, pxy) -> np.ndarray:
-        pxy = np.asarray(pxy, dtype=np.float64)
-        x = self.origin[0] + pxy[..., 0] * self.gsd
-        y = self.origin[1] - pxy[..., 1] * self.gsd
-        return np.stack([x, y], axis=-1)
-
 
 def write_pnm(img: RasterImage, path) -> None:
     """Binary PGM (P5) for grayscale, PPM (P6) for color; byte-exact."""

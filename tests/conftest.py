@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from uasnav import navigator
 from uasnav.grid import GridSpec, LandmarkId, RewardSpec
 from uasnav.imagery import PerturbationSpec, WorldSpec, build_world
 from uasnav.matching import MatchParams
@@ -69,68 +68,34 @@ def optimal_policy(oracle_q, grid):
 
 
 @pytest.fixture(scope="session")
-def _criterion_6(world_and_reg, grid, rewards, match_params, library):
-    """The 20 missions of acceptance criterion 6, flown once, with the seed
-    match of each arrival short of the goal recorded (see the two fixtures
-    below)."""
-    world, reg = world_and_reg
-    rng = np.random.default_rng(814)
-    policies = {}
-    flights, seeds = [], []
-    ranked = []  # set by an arrival's ranking, cleared by the seed match after it
-    match_images, target_ranks_first = navigator.match_images, navigator.target_ranks_first
-
-    def recording_rank(*args):
-        ranked.append(True)
-        return target_ranks_first(*args)
-
-    def recording_match(obs, train, *args, **kwargs):
-        res = match_images(obs, train, *args, **kwargs)
-        if ranked:
-            ranked.clear()
-            seeds[-1].append(res)
-        return res
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(navigator, "match_images", recording_match)
-        mp.setattr(navigator, "target_ranks_first", recording_rank)
-        for _ in range(20):
-            start = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
-            goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
-            while goal == start:
-                goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
-            if goal not in policies:
-                policies[goal] = greedy_policy(value_iteration(grid, rewards, goal), grid)
-            perturb = PerturbationSpec(
-                gain=float(rng.uniform(0.7, 1.4)),
-                bias=float(rng.uniform(-20.0, 20.0)),
-                noise_sigma=float(rng.uniform(0.0, 5.0)),
-                rotation_jitter=float(math.radians(rng.uniform(0.0, 5.0))),
-                translation_jitter=2.0,
-                rng_seed=int(rng.integers(1 << 31)),
-            )
-            cfg = MissionConfig(
-                start=start, goal=goal, policy=policies[goal],
-                perturbation=perturb, match_params=match_params,
-            )
-            ranked.clear()
-            seeds.append([])
-            t0 = time.time()
-            log = run_mission(world, reg, grid, cfg, library=library)
-            flights.append((start, goal, log, time.time() - t0))
-    return flights, seeds
-
-
-@pytest.fixture(scope="session")
-def criterion_6_flights(_criterion_6):
+def criterion_6_flights(world_and_reg, grid, rewards, match_params, library):
     """The 20 missions of acceptance criterion 6, flown once for it and for
     the flight-schedule properties: ``(start, goal, log, seconds)`` in draw
     order, ``seconds`` being the wall time of that mission."""
-    return _criterion_6[0]
-
-
-@pytest.fixture(scope="session")
-def criterion_6_seeds(_criterion_6):
-    """Per criterion-6 mission, in flight order, the match of each arrival
-    frame short of the goal against the next leg's target."""
-    return _criterion_6[1]
+    world, reg = world_and_reg
+    rng = np.random.default_rng(814)
+    policies = {}
+    flights = []
+    for _ in range(20):
+        start = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+        goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+        while goal == start:
+            goal = LandmarkId(int(rng.integers(grid.cols)), int(rng.integers(grid.rows)))
+        if goal not in policies:
+            policies[goal] = greedy_policy(value_iteration(grid, rewards, goal), grid)
+        perturb = PerturbationSpec(
+            gain=float(rng.uniform(0.7, 1.4)),
+            bias=float(rng.uniform(-20.0, 20.0)),
+            noise_sigma=float(rng.uniform(0.0, 5.0)),
+            rotation_jitter=float(math.radians(rng.uniform(0.0, 5.0))),
+            translation_jitter=2.0,
+            rng_seed=int(rng.integers(1 << 31)),
+        )
+        cfg = MissionConfig(
+            start=start, goal=goal, policy=policies[goal],
+            perturbation=perturb, match_params=match_params,
+        )
+        t0 = time.time()
+        log = run_mission(world, reg, grid, cfg, library=library)
+        flights.append((start, goal, log, time.time() - t0))
+    return flights

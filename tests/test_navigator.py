@@ -22,7 +22,6 @@ from uasnav.navigator import (
     expected_landmark,
     export_trajectory,
     gate,
-    read_mission_poses,
     run_mission,
     write_mission_csv,
 )
@@ -53,33 +52,32 @@ def _attempt_digest(log) -> str:
 
 @pytest.fixture(scope="module")
 def golden_flight(world_and_reg, grid, optimal_policy, goal, library):
-    """The reference mission, flown once for the tests that read its log,
-    with its ``("match" | "rank", observation, RANSAC seed, target result)``
-    calls recorded in order."""
+    """The reference mission, flown once for the tests that read its log:
+    ``(cfg, log, match calls, ranked)``, ``ranked`` holding each arrival's
+    match of its target as its ranking received it."""
     world, reg = world_and_reg
     cfg = MissionConfig(start=GOLDEN_START, goal=goal, policy=optimal_policy, perturbation=GOLDEN_PERTURBATION)
-    calls = []
+    matches, ranked = [], []
     match_images, target_ranks_first = navigator.match_images, navigator.target_ranks_first
 
-    def recording_match(obs, train, params, *args, **kwargs):
-        res = match_images(obs, train, params, *args, **kwargs)
-        calls.append(("match", obs, params.rng_seed, res))
-        return res
+    def recording_match(*args, **kwargs):
+        matches.append(1)
+        return match_images(*args, **kwargs)
 
-    def recording_rank(obs, res, candidates, lookup, params, gsd):
-        calls.append(("rank", obs, params.rng_seed, res))
-        return target_ranks_first(obs, res, candidates, lookup, params, gsd)
+    def recording_rank(obs, res, *args):
+        ranked.append(res)
+        return target_ranks_first(obs, res, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(navigator, "match_images", recording_match)
         mp.setattr(navigator, "target_ranks_first", recording_rank)
         log = run_mission(world, reg, grid, cfg, library=library)
-    return cfg, log, calls
+    return cfg, log, len(matches), ranked
 
 
 @pytest.fixture(scope="module")
 def golden_mission(golden_flight):
-    cfg, log, _ = golden_flight
+    cfg, log, *_ = golden_flight
     return cfg, log
 
 
@@ -544,19 +542,18 @@ class TestSchedule:
         for row in skipped:
             assert row["matches"] == row["inliers"] == row["center_distance_m"] == ""
 
-    def test_seeded_leg_renders_from_the_margin_on(self, golden_flight):
-        # a leg seeded by a solid match of the arrival frame renders no tick
-        # until the seed's along-track reading, less the travel since, is
-        # within half a sampling interval
-        cfg, log, calls = golden_flight
-        params = cfg.match_params
+    def test_seeded_leg_renders_from_the_margin_on(self, world_and_reg, grid, golden_flight):
+        # a leg after an arrival is seeded by the arrival's reading: it
+        # renders no tick until the view centre that reading gave, dead-
+        # reckoned since, is within half a sampling interval of abeam
+        _, reg = world_and_reg
+        cfg, log, _, ranked = golden_flight
         margin = cfg.control_step_m * cfg.observation_period / 2.0
         assert margin == 1.0
-        seeds = [calls[i + 1][3] for i, call in enumerate(calls[:-1]) if call[0] == "rank"]
-        assert len(seeds) == len(log.arrivals) - 1 >= 1
-        for arrival, seed, nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
-            assert seed.affine is not None and seed.inliers >= params.min_inliers
-            reading = seed.along_track_m(nxt.action.displacement)
+        assert len(ranked) == len(log.arrivals) >= 2
+        for arrival, res, nxt in zip(log.arrivals, ranked, log.arrivals[1:]):
+            fix = landmark_position(grid, arrival.arrival) + res.offset_px * (reg.gsd, -reg.gsd)
+            reading = (landmark_position(grid, nxt.arrival) - fix) @ nxt.action.displacement
             ticks = _leg_ticks(log, cfg, arrival.tick, nxt.tick)
             predicted = [reading - (r.tick - arrival.tick) * cfg.control_step_m for r in ticks]
             first = next(i for i, r in enumerate(ticks) if r.attempted)
@@ -567,15 +564,11 @@ class TestSchedule:
     def test_leg_without_a_solid_seed_renders_every_period(
         self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
     ):
-        # the seed match and the next three attempts find no model: the leg
-        # renders every observation tick up to its first solid match
+        # the first leg starts unread; with its first three attempts blind,
+        # it renders every observation tick up to its first solid match
         world, reg = world_and_reg
-        blind = []  # match calls still to be answered without a model
-        match_images, target_ranks_first = navigator.match_images, navigator.target_ranks_first
-
-        def ranking(*args):
-            blind[:] = [1] * 4
-            return target_ranks_first(*args)
+        blind = [1] * 3  # match calls still to be answered without a model
+        match_images = navigator.match_images
 
         def matching_blind(obs, train, params, gsd, target=None):
             if blind:
@@ -583,35 +576,22 @@ class TestSchedule:
                 return MatchResult(target, np.zeros((0, 2), dtype=int), 0, None, None, gsd)
             return match_images(obs, train, params, gsd, target=target)
 
-        monkeypatch.setattr(navigator, "target_ranks_first", ranking)
         monkeypatch.setattr(navigator, "match_images", matching_blind)
         cfg = MissionConfig(start=LandmarkId(4, 4), goal=goal, policy=optimal_policy)
         log = run_mission(world, reg, grid, cfg, library=library)
         assert log.outcome == MissionOutcome.REACHED_GOAL
-        first_leg, second_leg = log.arrivals
-        ticks = _leg_ticks(log, cfg, first_leg.tick, second_leg.tick)
+        ticks = _leg_ticks(log, cfg, 0, log.arrivals[0].tick)
         solid = [r.inliers >= cfg.match_params.min_inliers for r in ticks]
         assert solid.index(True) == 3
         assert all(r.attempted for r in ticks[:4])
-        assert not all(r.attempted for r in ticks)  # the solid match re-anchors the prediction
+        assert not all(r.attempted for r in ticks)  # the solid match gives the estimate
 
-    def test_final_leg_gets_no_seed_match(self, golden_flight):
-        # one match per attempt, plus one seed match per arrival but the last
-        cfg, log, calls = golden_flight
-        assert calls[-1][0] == "rank"
-        matches = [call for call in calls if call[0] == "match"]
-        assert len(matches) == sum(r.attempted for r in log.records) + len(log.arrivals) - 1
-        assert log.arrivals[-1].arrival == cfg.goal
-
-    def test_seed_match_reuses_the_arrival_ransac_seed(self, golden_flight):
-        # the arrival frame is matched against the next leg's target with
-        # the seed of the arrival's attempt
-        _, log, calls = golden_flight
-        ranks = [i for i, call in enumerate(calls) if call[0] == "rank"]
-        for i, nxt in zip(ranks, log.arrivals[1:]):
-            (_, obs, seed, _), (kind, seed_obs, seed_seed, res) = calls[i], calls[i + 1]
-            assert kind == "match" and seed_obs is obs and seed_seed == seed
-            assert res.target == nxt.arrival
+    def test_one_match_per_render(self, golden_flight):
+        # each render is matched once, against its target: an arrival's own
+        # reading opens the next leg
+        _, log, matches, _ = golden_flight
+        assert len(log.arrivals) >= 2
+        assert matches == sum(r.attempted for r in log.records)
 
     def test_route_is_described_before_takeoff(self, world_and_reg, grid, optimal_policy, goal, monkeypatch):
         # with a cold library, as `uasnav fly` has, no attempt pays for its
@@ -771,28 +751,26 @@ class TestReadingError:
                 arrivals += 1
         assert arrivals == 122
 
-    def test_seeded_leg_first_renders_nearest_its_predicted_abeam(
-        self, match_params, criterion_6_flights, criterion_6_seeds
+    def test_leg_after_an_arrival_first_renders_within_the_bound(
+        self, world_and_reg, grid, match_params, criterion_6_flights
     ):
-        # on the criterion-6 draw, a leg seeded by a solid match of the
-        # arrival frame first renders at the observation tick whose
-        # prediction lies within half an interval of abeam, the one nearest it
-        step, period = MissionConfig.control_step_m, MissionConfig.observation_period
-        half = step * period / 2.0
-        seeded = 0
-        for (_, _, log, _), seeds in zip(criterion_6_flights, criterion_6_seeds):
-            assert len(seeds) == len(log.arrivals) - 1
-            for arrival, seed, nxt in zip(log.arrivals, seeds, log.arrivals[1:]):
-                if seed.affine is None or seed.inliers < match_params.min_inliers:
-                    continue
-                reading = seed.along_track_m(nxt.action.displacement)
-                ticks = [r for r in log.records[arrival.tick:nxt.tick] if r.tick % period == 0]
-                predicted = [reading - (r.tick - arrival.tick) * step for r in ticks]
-                first = next(i for i, r in enumerate(ticks) if r.attempted)
-                assert all(p > half for p in predicted[:first])
-                assert -half < predicted[first] <= half
-                seeded += 1
-        assert seeded == 101  # of 102 legs after an arrival; one seed match is not solid
+        # on the criterion-6 draw, each leg after an arrival first renders
+        # truly within h + e of abeam: the arrival read the view centre within
+        # e, motion is exact, and the leg first renders at the observation
+        # tick whose prediction from that reading is within h of abeam
+        _, reg = world_and_reg
+        bound = MissionConfig.control_step_m * MissionConfig.observation_period / 2.0 + (
+            2.0 + match_params.inlier_tol_px * reg.gsd
+        )
+        assert bound == 3.75
+        legs = 0
+        for _, _, log, _ in criterion_6_flights:
+            for arrival, nxt in zip(log.arrivals, log.arrivals[1:]):
+                first = next(r for r in log.records[arrival.tick:nxt.tick] if r.attempted)
+                offset = landmark_position(grid, nxt.arrival) - (first.x, first.y)
+                assert abs(offset @ first.action.displacement) <= bound
+                legs += 1
+        assert legs == 102
 
 
 class TestEnvelopeLegs:
@@ -860,12 +838,13 @@ class TestExport:
     def test_csv_pose_round_trip(self, mission_log, tmp_path):
         path = tmp_path / "mission.csv"
         write_mission_csv(mission_log, path)
-        rows = read_mission_poses(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == mission_log.ticks
-        for (tick, x, y), rec in zip(rows, mission_log.records):
-            assert tick == rec.tick
-            assert abs(x - rec.x) <= 1e-3
-            assert abs(y - rec.y) <= 1e-3
+        for row, rec in zip(rows, mission_log.records):
+            assert int(row["tick"]) == rec.tick
+            assert abs(float(row["x_m"]) - rec.x) <= 1e-3
+            assert abs(float(row["y_m"]) - rec.y) <= 1e-3
 
     def test_svg_overlay(self, mission_log, world_and_reg, grid, tmp_path):
         world, reg = world_and_reg
