@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f'status=error code=2 error="{exc}"')
         return 2
-    except (UasNavError, OSError) as exc:
+    except (UasNavError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f'status=error code=3 error="{exc}"')
         return 3

@@ -42,25 +42,6 @@ class QTable:
 
     values: np.ndarray
     goal: LandmarkId
-    discount: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != len(Action):
-            raise ValueError(f"Q-table must be (n, {len(Action)}), got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("Q-table contains non-finite entries")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount must be in (0, 1), got {self.discount}")
-
-    def greedy_action(self, grid: GridSpec, state: LandmarkId) -> Action:
-        # np.argmax keeps the lowest enum index on ties; deterministic.
-        return Action(int(np.argmax(self.values[grid.flat_index(state)])))
-
-    def optimal_actions(self, grid: GridSpec, state: LandmarkId, tol: float = 1e-9) -> set[Action]:
-        """All actions whose value is within ``tol`` of the row maximum."""
-        row = self.values[grid.flat_index(state)]
-        return {Action(int(a)) for a in np.flatnonzero(row >= row.max() - tol)}
 
 
 @dataclass
@@ -82,7 +63,9 @@ def _starts(grid: GridSpec, goal: LandmarkId) -> list[LandmarkId]:
 
 
 def greedy_policy(qtable: QTable, grid: GridSpec) -> PolicyTable:
-    best = {lid: qtable.greedy_action(grid, lid) for lid in _starts(grid, qtable.goal)}
+    # np.argmax keeps the lowest enum index on ties; deterministic.
+    greedy = np.argmax(qtable.values, axis=1)
+    best = {lid: Action(int(greedy[grid.flat_index(lid)])) for lid in _starts(grid, qtable.goal)}
     return PolicyTable(best_action=best, goal=qtable.goal, cols=grid.cols, rows=grid.rows)
 
 
@@ -195,30 +178,28 @@ def value_iteration(
     rewards: RewardSpec,
     goal: LandmarkId,
     gamma: float = TrainConfig.discount,
-    tol: float = 1e-10,
-    max_iterations: int = 1_000_000,
 ) -> QTable:
     """Exact dynamic-programming solve of the optimal Q-function.
 
     Iterates the Bellman optimality backup until the sup-norm change is
-    within ``tol``. For gamma < 1 this always converges; the iteration cap
-    only guards against misuse. Values that overflow the float range raise
-    OverflowError at the first backup that overflows.
+    within 1e-10. For gamma < 1 this always converges; the cap of a
+    million iterations only guards against misuse. Values that overflow
+    the float range raise OverflowError at the first backup that overflows.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("discount must be in (0, 1)")
     grid.check(goal)
     tables = _transition_tables(grid, rewards, goal)
     goal_flat = grid.flat_index(goal)
     q = np.zeros_like(tables[1])
-    for _ in range(max_iterations):
+    for _ in range(1_000_000):
         with _overflow_stops():
             q_new = _backup(q, tables, goal_flat, gamma)
             delta = np.abs(q_new - q).max()
         q = q_new
-        if delta <= tol:
-            return QTable(values=q, goal=goal, discount=gamma)
-    raise RuntimeError(f"value iteration did not converge within {max_iterations} iterations")
+        if delta <= 1e-10:
+            return QTable(values=q, goal=goal)
+    raise RuntimeError("value iteration did not converge within 1000000 iterations")
 
 
 def train(
@@ -264,7 +245,7 @@ def train(
             curve.points.append(CurvePoint(episode, total, steps, epsilon))
 
     q[grid.flat_index(goal), :] = 0.0  # untouched by updates, pinned for the invariant
-    return QTable(values=q, goal=goal, discount=gamma), curve
+    return QTable(values=q, goal=goal), curve
 
 
 @dataclass
@@ -358,13 +339,13 @@ def optimal_expected_reward(grid: GridSpec, rewards: RewardSpec, goal: LandmarkI
     return total / len(starts)
 
 
-def oracle_agreement(policy: PolicyTable, oracle: QTable, grid: GridSpec, tol: float = 1e-9) -> float:
-    """Fraction of non-goal states whose greedy action is oracle-optimal."""
+def oracle_agreement(policy: PolicyTable, oracle: QTable, grid: GridSpec) -> float:
+    """Fraction of non-goal states whose greedy action is oracle-optimal:
+    within 1e-9 of the oracle row's maximum."""
     states = _starts(grid, policy.goal)
-    hits = sum(
-        policy.action_at(lid) in oracle.optimal_actions(grid, lid, tol) for lid in states
-    )
-    return hits / len(states)
+    q = oracle.values[[grid.flat_index(lid) for lid in states]]
+    chosen = q[np.arange(len(states)), [policy.action_at(lid) for lid in states]]
+    return float(np.mean(chosen >= q.max(axis=1) - 1e-9))
 
 
 def save_policy(policy: PolicyTable, path) -> None:

@@ -43,10 +43,6 @@ def png_bytes(pixels: np.ndarray) -> bytes:
     return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
 
 
-def png_data_uri(pixels: np.ndarray) -> str:
-    return "data:image/png;base64," + base64.b64encode(png_bytes(pixels)).decode("ascii")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -54,17 +50,16 @@ def _fmt(v: float) -> str:
 def line_chart(
     series: list[tuple[str, str, np.ndarray, np.ndarray]],
     path,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 420,
+    title: str,
+    x_label: str,
+    y_label: str,
 ) -> None:
-    """Write a simple multi-series line chart.
+    """Write a simple 720x420 multi-series line chart.
 
     ``series`` entries are (label, css color, x values, y values); NaN y
     values break the polyline (used for warm-up gaps in moving averages).
     """
+    width, height = 720, 420
     ml, mr, mt, mb = 64, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs = np.concatenate([s[2] for s in series]) if series else np.array([0.0, 1.0])
@@ -91,9 +86,8 @@ def line_chart(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#888"/>',
+        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>')
     for i in range(5):
         gx = x0 + (x1 - x0) * i / 4
         gy = y0 + (y1 - y0) * i / 4
@@ -103,13 +97,11 @@ def line_chart(
             f'<line x1="{ml - 4}" y1="{_fmt(sy(gy))}" x2="{ml}" y2="{_fmt(sy(gy))}" stroke="#888"/>'
             f'<text x="{ml - 8}" y="{_fmt(sy(gy) + 4)}" text-anchor="end">{gy:.4g}</text>'
         )
-    if x_label:
-        parts.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" text-anchor="middle">{x_label}</text>')
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{y_label}</text>'
-        )
+    parts.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" text-anchor="middle">{x_label}</text>')
+    parts.append(
+        f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{y_label}</text>'
+    )
     for li, (label, color, x, y) in enumerate(series):
         segs: list[list[str]] = [[]]
         for xi, yi in zip(x, y):
@@ -134,9 +126,10 @@ def line_chart(
 
 def image_panel(pixels: np.ndarray, x: float, y: float) -> str:
     h, w = pixels.shape[:2]
+    uri = "data:image/png;base64," + base64.b64encode(png_bytes(pixels)).decode("ascii")
     return (
         f'<image x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'preserveAspectRatio="none" href="{png_data_uri(pixels)}"/>'
+        f'preserveAspectRatio="none" href="{uri}"/>'
     )
 
 

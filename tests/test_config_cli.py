@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uasnav import imagery
+from uasnav import imagery, policy as policymod
 from uasnav.cli import main
 from uasnav.config import _SCHEMA, load_config, parse_overrides, write_reference_config
 from uasnav.errors import ConfigError
@@ -247,6 +248,30 @@ class TestCliTrainEval:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out.strip().splitlines()[-1].startswith("status=error code=3")
+
+    @pytest.mark.parametrize("episodes, sha256", [
+        (300, "c2f59a09893f5af1ff3d7e61733dd46889221cd73f28497732356acc2e9bb0a4"),
+        (0, "581b80affdb1c9ec5c15c34520b696c6d9230050f5bd6352a84aeb09b88c67b1"),
+    ])
+    def test_training_chart_bytes_are_pinned(self, tmp_path, capsys, episodes, sha256):
+        # the whole chart: layout, tick labels, polylines and legend; zero
+        # episodes draws the empty-curve fallback axes
+        assert main(["train", "--set", f"run.output_dir={tmp_path}", "--set", f"train.episodes={episodes}"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "curve.svg").read_bytes()).hexdigest() == sha256
+
+    def test_refused_allocation_exits_3(self, tmp_path, capsys, monkeypatch):
+        # stands in for a lattice too large to tabulate; the real allocation
+        # is never attempted, since an overcommitting host may grant it
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(policymod, "_transition_tables", refuse)
+        code = main(["train", "--set", f"run.output_dir={tmp_path}"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 3
+        assert last.startswith("status=error code=3")
+        assert "Unable to allocate" in last
 
     def test_zero_episode_training_warns(self, tmp_path, capsys):
         code = main([

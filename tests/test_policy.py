@@ -9,6 +9,7 @@ from uasnav.errors import PolicyFormatError
 from uasnav.grid import Action, LandmarkId, RewardSpec, manhattan, random_start, step
 from uasnav.policy import (
     PolicyTable,
+    QTable,
     TrainConfig,
     enumerated_mean_manhattan,
     evaluate,
@@ -26,10 +27,10 @@ from uasnav.policy import _backup, _transition_tables
 PHASE1_DIGEST = "73efd014e1738904836b7f03589fd19f9e5cfdb18a1230b1fab795ba2050886e"
 
 
-def _bellman_residual(qtable, grid, rewards) -> float:
+def _bellman_residual(qtable, grid, rewards, gamma) -> float:
     """Sup-norm residual of the Bellman optimality equation at every (s, a)."""
     tables = _transition_tables(grid, rewards, qtable.goal)
-    backup = _backup(qtable.values, tables, grid.flat_index(qtable.goal), qtable.discount)
+    backup = _backup(qtable.values, tables, grid.flat_index(qtable.goal), gamma)
     return float(np.abs(backup - qtable.values).max())
 
 
@@ -76,11 +77,11 @@ class TestValueIteration:
     def test_collision_self_loop_backup(self, oracle_q, grid, rewards):
         # Q(s, into-wall) = collision + gamma * max_a Q(s, a)
         s = grid.flat_index(LandmarkId(0, 0))
-        expected = rewards.collision_penalty + oracle_q.discount * oracle_q.values[s].max()
+        expected = rewards.collision_penalty + TrainConfig.discount * oracle_q.values[s].max()
         assert oracle_q.values[s][Action.LEFT] == pytest.approx(expected, abs=1e-12)
 
     def test_bellman_residual_within_tol(self, oracle_q, grid, rewards):
-        assert _bellman_residual(oracle_q, grid, rewards) <= 1e-10
+        assert _bellman_residual(oracle_q, grid, rewards, TrainConfig.discount) <= 1e-10
 
     def test_goal_row_zero(self, oracle_q, grid, goal):
         assert np.all(oracle_q.values[grid.flat_index(goal)] == 0.0)
@@ -112,9 +113,10 @@ class TestValueIteration:
                 if manhattan(nid, goal) < manhattan(lid, goal):
                     assert v[grid.flat_index(nid)] > v[grid.flat_index(lid)]
 
-    def test_bad_tolerance(self, grid, rewards, goal):
-        with pytest.raises(ValueError):
-            value_iteration(grid, rewards, goal, tol=0.0)
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, float("nan")])
+    def test_bad_discount(self, grid, rewards, goal, gamma):
+        with pytest.raises(ValueError, match=r"discount must be in \(0, 1\)"):
+            value_iteration(grid, rewards, goal, gamma=gamma)
 
 
 class TestTraining:
@@ -133,6 +135,17 @@ class TestTraining:
     def test_reference_config_matches_oracle_everywhere(self, grid, rewards, goal, oracle_q):
         q, _ = train(grid, rewards, goal, TrainConfig())
         assert oracle_agreement(greedy_policy(q, grid), oracle_q, grid) == 1.0
+
+    def test_oracle_agreement_tolerance(self, grid, goal):
+        # (0,0) greedily takes an action 1e-9 below its row's maximum, which
+        # counts as optimal; (1,0) one 1e-8 below, which does not
+        values = np.zeros((grid.n_landmarks, len(Action)))
+        values[grid.flat_index(LandmarkId(0, 0)), Action.RIGHT] = 1e-9
+        values[grid.flat_index(LandmarkId(1, 0)), Action.RIGHT] = 1e-8
+        best = {lid: Action.FORWARD for lid in grid.all_landmarks() if lid != goal}
+        policy = PolicyTable(best, goal, grid.cols, grid.rows)
+        n = grid.n_landmarks
+        assert oracle_agreement(policy, QTable(values, goal), grid) == (n - 2) / (n - 1)
 
     def test_converges_within_200_episodes(self, grid, rewards, goal):
         _, curve = train(grid, rewards, goal, TrainConfig(episodes=250, rng_seed=3))
