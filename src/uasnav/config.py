@@ -228,8 +228,8 @@ def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) 
             raise ConfigError(f"config file not found: {p}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(p)
-        except configparser.Error as exc:
+            parser.read(p, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{p}: {exc}") from None
         for section in parser.sections():
             if section not in _SCHEMA:

@@ -1,8 +1,7 @@
 """Landmark recognition: keypoints, descriptors, correspondence matching,
 robust affine estimation, and the view center's offset from the landmark
-center, from which the arrival gate (``navigator.gate``) reads its center
-distance and the along-track distance on which the flight schedules its
-renders.
+center in world meters, on which the arrival gate (``navigator.gate``) and
+the flight's render schedule act.
 
 The pipeline is classical and fully seed-deterministic: a Harris-style
 corner detector with non-maximum suppression, an upright 128-dim gradient
@@ -71,10 +70,6 @@ class AffineTransform:
             raise DegenerateGeometryError("affine linear part is singular")
         self.matrix = m
 
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.matrix[:, :2].T + self.matrix[:, 2]
@@ -93,36 +88,21 @@ class AffineTransform:
 class MatchResult:
     """Outcome of matching one observation against one candidate landmark.
 
-    ``offset_px`` is the view center mapped by the affine into the landmark
-    image, less that image's center, in its pixels (x east, y south; None
-    without a model); ``gsd`` is their size in meters."""
+    ``offset_m`` is the view center mapped by the affine into the landmark
+    image, less that image's center, in world meters (x east, y north);
+    ``center_distance_m`` is its length. Both are None without a model."""
 
     target: LandmarkId | None
     pairs: np.ndarray  # (m, 2) mutual (query, train) keypoint indices
     inliers: int
     affine: AffineTransform | None
-    offset_px: np.ndarray | None
-    gsd: float
+    offset_m: np.ndarray | None
+    center_distance_m: float | None
     inlier_mask: np.ndarray | None = None
 
     @property
     def n_matches(self) -> int:
         return len(self.pairs)
-
-    @property
-    def center_distance_m(self) -> float | None:
-        """Metric distance between the view center and the landmark center."""
-        if self.offset_px is None:
-            return None
-        return float(np.linalg.norm(self.offset_px) * self.gsd)
-
-    def along_track_m(self, direction: tuple[float, float]) -> float:
-        """How far the view center still has to fly along the unit world
-        vector ``direction`` (east, north) to come abeam of the landmark
-        center, in meters (pixel rows grow southward). Negative past abeam;
-        needs a model."""
-        east, south = self.offset_px * self.gsd
-        return float(south * direction[1] - east * direction[0])
 
 
 @dataclass(frozen=True)
@@ -159,9 +139,6 @@ class DescriptorSet:
     keypoints: np.ndarray  # (n, 3) x, y, response rows
     descriptors: np.ndarray  # (n, 128) unit rows
     image_size: tuple[int, int]  # (width, height)
-
-    def __len__(self) -> int:
-        return len(self.keypoints)
 
 
 def detect_keypoints(gray: np.ndarray, max_keypoints: int) -> np.ndarray:
@@ -483,13 +460,15 @@ def _fit_pairs(
                 iterations=params.ransac_iterations,
                 rng_seed=params.rng_seed,
             )
-            # the one place the view center goes through the affine
+            # the one place the view center goes through the affine, and
+            # its pixel offset (x east, y south) becomes world meters
             center = affine.apply(np.array([observation.image_size]) / 2.0)[0]
-            offset = center - np.array(candidate.image_size) / 2.0
-            return MatchResult(target, pairs, int(mask.sum()), affine, offset, gsd, inlier_mask=mask)
+            offset_px = center - np.array(candidate.image_size) / 2.0
+            distance = float(np.linalg.norm(offset_px) * gsd)
+            return MatchResult(target, pairs, int(mask.sum()), affine, offset_px * (gsd, -gsd), distance, mask)
         except DegenerateGeometryError:
             pass
-    return MatchResult(target, pairs, inliers=0, affine=None, offset_px=None, gsd=gsd)
+    return MatchResult(target, pairs, inliers=0, affine=None, offset_m=None, center_distance_m=None)
 
 
 def rank_neighbors(results: list[MatchResult]) -> list[MatchResult]:

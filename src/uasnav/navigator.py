@@ -216,7 +216,7 @@ def gate(
     world vector ``direction``. A solid match (a model and at least
     ``min_inliers`` inliers) is TOO_FAR beyond ``distance_threshold_m``;
     within it, it is the CLOSEST_APPROACH once its along-track reading
-    (``res.along_track_m(direction)``, negative past abeam) is within
+    (``-(res.offset_m @ direction)`` meters, negative past abeam) is within
     ``half_interval`` (half a sampling interval) of abeam or past it, since
     on a straight leg abeam is the closest approach; else it is CLOSING_IN.
     """
@@ -226,7 +226,7 @@ def gate(
         return Gate.FEW_INLIERS
     if res.center_distance_m > params.distance_threshold_m:
         return Gate.TOO_FAR
-    if res.along_track_m(direction) <= half_interval:
+    if -(res.offset_m @ direction) <= half_interval:
         return Gate.CLOSEST_APPROACH
     return Gate.CLOSING_IN
 
@@ -249,12 +249,13 @@ def run_mission(
     tick advances the pose by ``control_step_m`` along the commanded
     cardinal direction, and the estimate ``est`` with it. ``est`` is the
     view centre that the latest solid match read: its target's position
-    plus ``MatchResult.offset_px`` in meters. Every ``observation_period``
-    ticks an observation is rendered and matched against the target,
-    unless the prediction, ``est``'s along-track distance to the target,
-    exceeds half a sampling interval; so a leg renders at the observation
-    tick nearest its predicted abeam. ``est`` is None until the mission's
-    first solid match, and the first leg renders every period until then.
+    plus ``MatchResult.offset_m``, in world meters like every position
+    here. Every ``observation_period`` ticks an observation is rendered
+    and matched against the target, unless the prediction, ``est``'s
+    along-track distance to the target, exceeds half a sampling interval;
+    so a leg renders at the observation tick nearest its predicted abeam.
+    ``est`` is None until the mission's first solid match, and the first
+    leg renders every period until then.
     The ``gate`` verdict decides each match: a solid one resets ``est``;
     CLOSEST_APPROACH arrives, and its ``est`` carries into the next leg.
 
@@ -338,7 +339,7 @@ def run_mission(
             rec.center_distance_m = res.center_distance_m
             verdict = gate(res, action.displacement, half_interval, params)
             if verdict.solid:
-                est = target_pos + res.offset_px * (reg.gsd, -reg.gsd)
+                est = target_pos + res.offset_m
             if verdict is Gate.CLOSEST_APPROACH:
                 # re-rank the departure cell's neighbors, reusing this
                 # attempt's match of the target

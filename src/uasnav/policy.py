@@ -367,8 +367,11 @@ def save_policy(policy: PolicyTable, path) -> None:
 
 def load_policy(path) -> PolicyTable:
     """Parse a policy file; errors name the offending line or field."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise PolicyFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise PolicyFormatError(f"{path}: empty policy file")
 

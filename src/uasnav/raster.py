@@ -153,9 +153,9 @@ def write_sidecar(reg: GeoRegistration, path) -> None:
 
 def read_sidecar(path) -> GeoRegistration:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise RasterFormatError(f"{path}: invalid JSON sidecar: {exc}") from None
     try:
         return GeoRegistration(

@@ -325,6 +325,25 @@ class TestCliTrainEval:
         assert last.startswith("status=error code=2")
         assert "goal_col" in last
 
+    @pytest.mark.parametrize("command", ["eval", "fly"])
+    def test_non_utf8_policy_exits_3(self, tmp_path, capsys, command):
+        # a binary file given as the policy, such as the world raster
+        (tmp_path / "world.ppm").write_bytes(b"P6\n640 480\n255\n\xff\xd8\x00\x81")
+        code = main([command, "--set", f"run.output_dir={tmp_path}", "--policy", str(tmp_path / "world.ppm")])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 3
+        assert last.startswith("status=error code=3")
+        assert "not UTF-8" in last
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bad.ini").write_bytes(b"# caf\xe9 latin-1\n[train]\nepisodes = 5\n")
+        code = main(["train", "--config", str(tmp_path / "bad.ini"), "--set", f"run.output_dir={tmp_path}"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert "bad.ini" in last
+        assert not (tmp_path / "policy.txt").exists()
+
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         code = main(["train", "--set", f"run.output_dir={tmp_path}", "--set", "train.alpha=0.5"])
         captured = capsys.readouterr()
@@ -634,6 +653,16 @@ class TestCliBuildEnvAndFly:
         assert code == 3
         assert last.startswith("status=error code=3")
         assert "gsd" in last
+
+    def test_fly_non_utf8_sidecar_exits_3(self, built, tmp_path, optimal_policy, capsys):
+        (tmp_path / "world.ppm").symlink_to(built / "world.ppm")
+        (tmp_path / "world.json").write_bytes(b"\xff\xfe{")
+        save_policy(optimal_policy, tmp_path / "policy.txt")
+        code = main(["fly", "--set", f"run.output_dir={tmp_path}", "--policy", str(tmp_path / "policy.txt")])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 3
+        assert last.startswith("status=error code=3")
+        assert "world.json" in last
 
     def test_ingest_round_trip_is_byte_identical(self, built, tmp_path, capsys):
         out = tmp_path / "reexport"

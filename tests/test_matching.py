@@ -209,7 +209,7 @@ class TestRansac:
     def test_minimal_exact_identity(self):
         src = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
         model, mask = estimate_affine_ransac(src, src, inlier_tol_px=1.0, iterations=10, rng_seed=0)
-        assert np.abs(model.matrix - AffineTransform.identity().matrix).max() < 1e-9
+        assert np.abs(model.matrix - np.eye(2, 3)).max() < 1e-9
         assert mask.sum() == 3
 
     def test_sixty_percent_outliers(self):
@@ -321,12 +321,10 @@ class TestCenterDistance:
         assert res.center_distance_m == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_translation(self):
-        # the view center lies 40 px (10 m) east of the landmark's
-        res = _fitted(_view_map(0.0, (40.0, 0.0)), 0.25)
-        assert res.center_distance_m == pytest.approx(10.0)
-        assert res.along_track_m(Action.RIGHT.displacement) == pytest.approx(-10.0)  # past it, flying east
-        assert res.along_track_m(Action.LEFT.displacement) == pytest.approx(10.0)
-        assert res.along_track_m(Action.FORWARD.displacement) == pytest.approx(0.0, abs=1e-9)
+        # the view center lies 40 px (10 m) east and 20 px (5 m) south of the landmark's
+        res = _fitted(_view_map(0.0, (40.0, 20.0)), 0.25)
+        assert res.center_distance_m == pytest.approx(math.hypot(10.0, 5.0))
+        assert res.offset_m == pytest.approx((10.0, -5.0))  # world meters, x east and y north
 
     def test_rotation_about_train_center_is_zero(self):
         res = _fitted(_view_map(math.degrees(0.3)), 0.25)
@@ -338,18 +336,21 @@ class TestCenterDistance:
 
 
 class TestCenterReadingBits:
-    """The center distance and the along-track reading, bit for bit, at a
-    gsd that is not a power of two: the golden pins run at 0.25 m/px, where
-    scaling before or after the norm gives the same bits."""
+    """The metric offset, the center distance and the gate's along-track
+    reading, bit for bit against the same readings taken from the pixel
+    offset (x east, y south), at a gsd that is not a power of two: the
+    golden pins run at 0.25 m/px, where scaling before or after the norm
+    gives the same bits."""
 
     @staticmethod
     def _check(res, gsd):
         px = res.affine.apply(np.array([[320.0, 240.0]]))[0] - (320.0, 240.0)
         east, south = px * gsd
+        assert res.offset_m.tobytes() == (px * (gsd, -gsd)).tobytes()
         assert res.center_distance_m == float(np.linalg.norm(px) * gsd)
         for action in Action:
             d = action.displacement
-            assert res.along_track_m(d) == south * d[1] - east * d[0]
+            assert -(res.offset_m @ d) == south * d[1] - east * d[0]
         return px
 
     def test_fixed_affine(self):
@@ -440,14 +441,14 @@ class TestRankNeighbors:
 
     def test_ordering_tie_breaks(self):
         def result(col, inliers, cd):
-            # at one meter per pixel, an offset of cd pixels east is cd meters
+            # a view center cd meters east of the landmark's
             return MatchResult(
                 target=LandmarkId(col, 0),
                 pairs=np.zeros((0, 2), dtype=int),
                 inliers=inliers,
-                affine=None if cd is None else AffineTransform.identity(),
-                offset_px=None if cd is None else np.array([cd, 0.0]),
-                gsd=1.0,
+                affine=None if cd is None else AffineTransform(np.eye(2, 3)),
+                offset_m=None if cd is None else np.array([cd, 0.0]),
+                center_distance_m=cd,
             )
 
         results = [
@@ -548,85 +549,6 @@ class TestTargetRanksFirst:
         sets = {a: same, b: same}
         assert self._decide(obs, sets, [a, b], a)
         assert not self._decide(obs, sets, [b, a], a)
-
-
-class TestArrivalCheck:
-    """The gate's pass: a solid match within the distance threshold is
-    CLOSING_IN or, read within half a sampling interval of abeam or past
-    it, the CLOSEST_APPROACH."""
-
-    PASSING = (Gate.CLOSING_IN, Gate.CLOSEST_APPROACH)
-    NORTH = Action.FORWARD.displacement  # along-track reads the offset's south part
-
-    def _result(self, inliers, east, south, with_affine=True):
-        # at one meter per pixel, the view center's offset reads in meters
-        return MatchResult(
-            target=None,
-            pairs=np.zeros((0, 2), dtype=int),
-            inliers=inliers,
-            affine=AffineTransform.identity() if with_affine else None,
-            offset_px=np.array([east, south]) if with_affine else None,
-            gsd=1.0,
-        )
-
-    def _verdict(self, res, threshold, min_inliers, half_interval=1.0):
-        params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
-        return gate(res, self.NORTH, half_interval, params)
-
-    def test_passes_thresholds(self):
-        assert self._verdict(self._result(150, 1.2, 0.0), 5.0, 30) in self.PASSING
-        assert self._verdict(self._result(150, 0.0, 4.0), 5.0, 30) in self.PASSING
-
-    def test_no_affine_fails(self):
-        res = self._result(150, 1.2, 0.0, with_affine=False)
-        assert self._verdict(res, 5.0, 30) not in self.PASSING
-        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.NO_MODEL
-
-    def test_collinear_matches_give_no_model(self):
-        # 20 mutual pairs whose keypoints all lie on one line: every RANSAC
-        # triple is degenerate, so the match has pairs but no model
-        n = 20
-        keypoints = np.column_stack([np.arange(n) * 10.0 + 40.0, np.full(n, 240.0), np.ones(n)])
-        dset = DescriptorSet(keypoints=keypoints, descriptors=np.eye(n, 128), image_size=(640, 480))
-        res = match_images(dset, dset, MatchParams(), gsd=0.25)
-        assert res.n_matches == n
-        assert res.affine is None
-        assert res.inliers == 0
-        assert res.offset_px is None and res.center_distance_m is None
-        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.NO_MODEL
-
-    def test_few_inliers_fail_regardless_of_distance(self):
-        res = self._result(10, 0.0, 0.0)
-        assert self._verdict(res, 5.0, 30) not in self.PASSING
-        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.FEW_INLIERS
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        inliers=st.integers(0, 400),
-        east=st.floats(-30.0, 30.0),
-        south=st.floats(-30.0, 30.0),
-        more=st.integers(0, 400),
-        shrink=st.floats(0.0, 1.0),
-        nearer=st.floats(0.0, 50.0),
-        threshold=st.floats(0.1, 20.0),
-        min_inliers=st.integers(1, 300),
-        half_interval=st.floats(0.05, 2.5),
-    )
-    def test_arrival_check_is_monotone(
-        self, inliers, east, south, more, shrink, nearer, threshold, min_inliers, half_interval
-    ):
-        # more inliers or an offset shrunk toward the landmark never closes
-        # an open gate nor undoes an arrival, and a reading further along
-        # never undoes an arrival while it stays within the threshold
-        verdict = self._verdict(self._result(inliers, east, south), threshold, min_inliers, half_interval)
-        if verdict in self.PASSING:
-            better = self._result(inliers + more, east * shrink, south * shrink)
-            assert self._verdict(better, threshold, min_inliers, half_interval) in self.PASSING
-        if verdict is Gate.CLOSEST_APPROACH:
-            assert self._verdict(better, threshold, min_inliers, half_interval) is Gate.CLOSEST_APPROACH
-            later = self._result(inliers, east, south - nearer)
-            if later.center_distance_m <= threshold:
-                assert self._verdict(later, threshold, min_inliers, half_interval) is Gate.CLOSEST_APPROACH
 
 
 @pytest.mark.parametrize("field", ["inlier_tol_px", "distance_threshold_m"])

@@ -109,37 +109,40 @@ class TestExpectedLandmark:
             expected_landmark(grid, LandmarkId(0, 0), Action.LEFT)
 
 
+def _result(inliers, east, north, with_affine=True):
+    """A match whose view center reads ``east`` and ``north`` meters from
+    its landmark's center."""
+    offset = np.array([east, north])
+    return MatchResult(
+        target=None,
+        pairs=np.zeros((0, 2), dtype=int),
+        inliers=inliers,
+        affine=AffineTransform(np.eye(2, 3)) if with_affine else None,
+        offset_m=offset if with_affine else None,
+        center_distance_m=float(np.linalg.norm(offset)) if with_affine else None,
+    )
+
+
 class TestClosestApproach:
     HALF = 1.0  # half a sampling interval at the default kinematics
     PARAMS = MatchParams()  # 30 inliers, 5 m distance threshold
     WEAK = (Gate.NO_MODEL, Gate.FEW_INLIERS)
-    NORTH = Action.FORWARD.displacement  # along-track reads the offset's south part
-
-    def _result(self, inliers, east, south, with_affine=True):
-        # at one meter per pixel, the view center's offset reads in meters
-        return MatchResult(
-            target=None,
-            pairs=np.zeros((0, 2), dtype=int),
-            inliers=inliers,
-            affine=AffineTransform.identity() if with_affine else None,
-            offset_px=np.array([east, south]) if with_affine else None,
-            gsd=1.0,
-        )
+    NORTH = Action.FORWARD.displacement  # along-track reads minus the offset's north part
 
     def _verdict(self, res, direction=NORTH):
         return gate(res, direction, self.HALF, self.PARAMS)
 
     def test_reading_abeam_or_past_it_arrives(self):
-        for south in (self.HALF, 0.0, -self.HALF, -4.0):
-            assert self._verdict(self._result(150, 2.0, south)) is Gate.CLOSEST_APPROACH
+        for north in (-self.HALF, 0.0, self.HALF, 4.0):
+            assert self._verdict(_result(150, 2.0, north)) is Gate.CLOSEST_APPROACH
 
     def test_reading_short_of_abeam_is_closing_in(self):
-        assert self._verdict(self._result(150, 0.0, math.nextafter(self.HALF, math.inf))) is Gate.CLOSING_IN
-        assert self._verdict(self._result(150, 0.0, 4.0)) is Gate.CLOSING_IN
+        assert self._verdict(_result(150, 0.0, -math.nextafter(self.HALF, math.inf))) is Gate.CLOSING_IN
+        assert self._verdict(_result(150, 0.0, -4.0)) is Gate.CLOSING_IN
 
     def test_reading_is_projected_on_the_move(self):
         # 3 m west and 0.5 m south of the landmark: short of it only flying east
-        res = self._result(150, -3.0, 0.5)
+        res = _result(150, -3.0, -0.5)
         verdicts = {action: self._verdict(res, action.displacement) for action in Action}
         assert verdicts == {
             Action.FORWARD: Gate.CLOSEST_APPROACH,
@@ -150,15 +153,15 @@ class TestClosestApproach:
 
     def test_distance_beyond_the_threshold_never_arrives(self):
         # a reading abeam with a lateral offset beyond the threshold is too far
-        for south in (30.0, self.HALF, 0.0, -30.0):
-            assert self._verdict(self._result(150, 7.5, south)) is Gate.TOO_FAR
-        edge = self._result(150, self.PARAMS.distance_threshold_m, 0.0)
+        for north in (-30.0, -self.HALF, 0.0, 30.0):
+            assert self._verdict(_result(150, 7.5, north)) is Gate.TOO_FAR
+        edge = _result(150, self.PARAMS.distance_threshold_m, 0.0)
         assert self._verdict(edge) is Gate.CLOSEST_APPROACH
 
     def test_weak_match_never_arrives(self):
-        assert self._verdict(self._result(150, 0.0, 0.0, with_affine=False)) is Gate.NO_MODEL
-        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 0.0, 0.0)) is Gate.FEW_INLIERS
-        assert self._verdict(self._result(self.PARAMS.min_inliers - 1, 9.0, -30.0)) is Gate.FEW_INLIERS
+        assert self._verdict(_result(150, 0.0, 0.0, with_affine=False)) is Gate.NO_MODEL
+        assert self._verdict(_result(self.PARAMS.min_inliers - 1, 0.0, 0.0)) is Gate.FEW_INLIERS
+        assert self._verdict(_result(self.PARAMS.min_inliers - 1, 9.0, 30.0)) is Gate.FEW_INLIERS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -166,16 +169,16 @@ class TestClosestApproach:
         shortfall=st.integers(0, 300),
         with_affine=st.booleans(),
         east=st.floats(-50.0, 50.0),
-        south=st.floats(-50.0, 50.0),
+        north=st.floats(-50.0, 50.0),
         action=st.sampled_from(Action),
         half_interval=st.floats(0.05, 2.5),
     )
     def test_weak_match_never_arrives_property(
-        self, inliers, shortfall, with_affine, east, south, action, half_interval
+        self, inliers, shortfall, with_affine, east, north, action, half_interval
     ):
         # a result without a model, or with a model below the inlier floor
         params = MatchParams(min_inliers=inliers + shortfall + with_affine)
-        res = self._result(inliers, east, south, with_affine)
+        res = _result(inliers, east, north, with_affine)
         assert gate(res, action.displacement, half_interval, params) in self.WEAK
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -184,28 +187,96 @@ class TestClosestApproach:
         min_inliers=st.integers(0, 400),
         with_affine=st.booleans(),
         east=st.floats(-50.0, 50.0),
-        south=st.floats(-50.0, 50.0),
+        north=st.floats(-50.0, 50.0),
         action=st.sampled_from(Action),
         half_interval=st.floats(0.05, 2.5),
         threshold=st.floats(0.0, 20.0),
     )
     def test_verdict_states_the_rule(
-        self, inliers, min_inliers, with_affine, east, south, action, half_interval, threshold
+        self, inliers, min_inliers, with_affine, east, north, action, half_interval, threshold
     ):
         params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
-        res = self._result(inliers, east, south, with_affine)
+        res = _result(inliers, east, north, with_affine)
         verdict = gate(res, action.displacement, half_interval, params)
         # a solid match re-anchors the prediction ...
         solid = with_affine and inliers >= min_inliers
         # ... and arrives within the threshold once it reads abeam, within
         # half an interval, or past it
         within = solid and res.center_distance_m <= threshold
-        along_m = south * action.displacement[1] - east * action.displacement[0]
+        along_m = -(east * action.displacement[0] + north * action.displacement[1])
         assert (verdict not in self.WEAK) == solid
         assert (verdict is Gate.NO_MODEL) == (not with_affine)
         assert (verdict is Gate.TOO_FAR) == (solid and not within)
         assert (verdict is Gate.CLOSEST_APPROACH) == (within and along_m <= half_interval)
         assert (verdict is Gate.CLOSING_IN) == (within and along_m > half_interval)
+
+
+class TestArrivalCheck:
+    """The gate's pass: a solid match within the distance threshold is
+    CLOSING_IN or, read within half a sampling interval of abeam or past
+    it, the CLOSEST_APPROACH."""
+
+    PASSING = (Gate.CLOSING_IN, Gate.CLOSEST_APPROACH)
+    NORTH = Action.FORWARD.displacement  # along-track reads minus the offset's north part
+
+    def _verdict(self, res, threshold, min_inliers, half_interval=1.0):
+        params = MatchParams(min_inliers=min_inliers, distance_threshold_m=threshold)
+        return gate(res, self.NORTH, half_interval, params)
+
+    def test_passes_thresholds(self):
+        assert self._verdict(_result(150, 1.2, 0.0), 5.0, 30) in self.PASSING
+        assert self._verdict(_result(150, 0.0, -4.0), 5.0, 30) in self.PASSING
+
+    def test_no_affine_fails(self):
+        res = _result(150, 1.2, 0.0, with_affine=False)
+        assert self._verdict(res, 5.0, 30) not in self.PASSING
+        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.NO_MODEL
+
+    def test_collinear_matches_give_no_model(self):
+        # 20 mutual pairs whose keypoints all lie on one line: every RANSAC
+        # triple is degenerate, so the match has pairs but no model
+        n = 20
+        keypoints = np.column_stack([np.arange(n) * 10.0 + 40.0, np.full(n, 240.0), np.ones(n)])
+        dset = matching.DescriptorSet(keypoints=keypoints, descriptors=np.eye(n, 128), image_size=(640, 480))
+        res = matching.match_images(dset, dset, MatchParams(), gsd=0.25)
+        assert res.n_matches == n
+        assert res.affine is None
+        assert res.inliers == 0
+        assert res.offset_m is None and res.center_distance_m is None
+        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.NO_MODEL
+
+    def test_few_inliers_fail_regardless_of_distance(self):
+        res = _result(10, 0.0, 0.0)
+        assert self._verdict(res, 5.0, 30) not in self.PASSING
+        assert gate(res, self.NORTH, 1.0, MatchParams()) is Gate.FEW_INLIERS
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        inliers=st.integers(0, 400),
+        east=st.floats(-30.0, 30.0),
+        north=st.floats(-30.0, 30.0),
+        more=st.integers(0, 400),
+        shrink=st.floats(0.0, 1.0),
+        nearer=st.floats(0.0, 50.0),
+        threshold=st.floats(0.1, 20.0),
+        min_inliers=st.integers(1, 300),
+        half_interval=st.floats(0.05, 2.5),
+    )
+    def test_arrival_check_is_monotone(
+        self, inliers, east, north, more, shrink, nearer, threshold, min_inliers, half_interval
+    ):
+        # more inliers or an offset shrunk toward the landmark never closes
+        # an open gate nor undoes an arrival, and a reading further along
+        # never undoes an arrival while it stays within the threshold
+        verdict = self._verdict(_result(inliers, east, north), threshold, min_inliers, half_interval)
+        if verdict in self.PASSING:
+            better = _result(inliers + more, east * shrink, north * shrink)
+            assert self._verdict(better, threshold, min_inliers, half_interval) in self.PASSING
+        if verdict is Gate.CLOSEST_APPROACH:
+            assert self._verdict(better, threshold, min_inliers, half_interval) is Gate.CLOSEST_APPROACH
+            later = _result(inliers, east, north + nearer)
+            if later.center_distance_m <= threshold:
+                assert self._verdict(later, threshold, min_inliers, half_interval) is Gate.CLOSEST_APPROACH
 
 
 class TestMissionConfig:
@@ -542,17 +613,16 @@ class TestSchedule:
         for row in skipped:
             assert row["matches"] == row["inliers"] == row["center_distance_m"] == ""
 
-    def test_seeded_leg_renders_from_the_margin_on(self, world_and_reg, grid, golden_flight):
+    def test_seeded_leg_renders_from_the_margin_on(self, grid, golden_flight):
         # a leg after an arrival is seeded by the arrival's reading: it
         # renders no tick until the view centre that reading gave, dead-
         # reckoned since, is within half a sampling interval of abeam
-        _, reg = world_and_reg
         cfg, log, _, ranked = golden_flight
         margin = cfg.control_step_m * cfg.observation_period / 2.0
         assert margin == 1.0
         assert len(ranked) == len(log.arrivals) >= 2
         for arrival, res, nxt in zip(log.arrivals, ranked, log.arrivals[1:]):
-            fix = landmark_position(grid, arrival.arrival) + res.offset_px * (reg.gsd, -reg.gsd)
+            fix = landmark_position(grid, arrival.arrival) + res.offset_m
             reading = (landmark_position(grid, nxt.arrival) - fix) @ nxt.action.displacement
             ticks = _leg_ticks(log, cfg, arrival.tick, nxt.tick)
             predicted = [reading - (r.tick - arrival.tick) * cfg.control_step_m for r in ticks]
@@ -573,7 +643,7 @@ class TestSchedule:
         def matching_blind(obs, train, params, gsd, target=None):
             if blind:
                 blind.pop()
-                return MatchResult(target, np.zeros((0, 2), dtype=int), 0, None, None, gsd)
+                return MatchResult(target, np.zeros((0, 2), dtype=int), 0, None, None, None)
             return match_images(obs, train, params, gsd, target=target)
 
         monkeypatch.setattr(navigator, "match_images", matching_blind)
@@ -705,7 +775,7 @@ class TestReadingError:
                 res = matching.match_images(obs, train, match_params, reg.gsd, target=target)
                 if not gate(res, action.displacement, 1.0, match_params).solid:
                     continue
-                reading = res.along_track_m(action.displacement)
+                reading = -(res.offset_m @ action.displacement)
                 errors.append(abs(reading - along))
                 assert errors[-1] <= jitter + fit_bound
             assert len(errors) >= 27
@@ -910,7 +980,7 @@ class TestLandmarkStore:
         got = capped.get(STORE_LM)
         assert (capped.described, capped.loaded) == (1, 0)
         fresh = self._library(world_and_reg, grid, None, max_keypoints=300).get(STORE_LM)
-        assert len(fresh) <= 300 < len(full)
+        assert len(fresh.keypoints) <= 300 < len(full.keypoints)
         assert _same_set(got, fresh)
         # the rewritten entry now holds the 300-keypoint set
         again = self._library(world_and_reg, grid, tmp_path, max_keypoints=300)
