@@ -6,7 +6,9 @@ the flight's render schedule act.
 The pipeline is classical and fully seed-deterministic: a Harris-style
 corner detector with non-maximum suppression, an upright 128-dim gradient
 patch descriptor (bias falls out of differentiation, gain out of the L2
-normalization), Lowe-ratio plus mutual-best matching, and RANSAC over
+normalization) pooled from a 17x17 window per keypoint with bilinear
+weights ``(1 - f) / 2, 1/2, f / 2``, Lowe-ratio plus mutual-best matching
+ranked by float32 dot products (ties to the lowest index), and RANSAC over
 minimal 3-point affine solves refined by least squares. Descriptors are
 not rotation-invariant; that is acceptable because the platform flies
 north-oriented and rotation jitter stays within about ten degrees.
@@ -14,7 +16,7 @@ north-oriented and rotation jitter stays within about ten degrees.
 Everything between the stages is a numpy array:
 
 - keypoints: ``(n, 3)`` float64 rows of ``x, y, response``, strongest first;
-- descriptors: ``(n, 128)`` float64 unit rows, one per keypoint row;
+- descriptors: ``(n, 128)`` float32 unit rows, one per keypoint row;
 - matches: ``(m, 2)`` integer rows of ``(query, train)`` indices into the
   two keypoint arrays, in query order;
 - RANSAC input: two ``(m, 2)`` arrays of matched ``x, y`` positions.
@@ -239,12 +241,16 @@ def _vertex_offsets(left: np.ndarray, center: np.ndarray, right: np.ndarray) -> 
 
 
 def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upright gradient patch descriptors, one unit-norm 128-vector per
+    """Upright gradient patch descriptors, one float32 unit 128-vector per
     keypoint row, returned with the keypoint rows they describe.
 
-    A 16x16 gradient patch around the keypoint (sampled bilinearly from a
-    smoothed gradient field) is average-pooled to 8x8 cells of (gx, gy) and
-    L2-normalized. Differentiation removes intensity bias and the
+    A 16x16 gradient patch around the keypoint, sampled bilinearly from a
+    smoothed gradient field, is average-pooled to 8x8 cells of (gx, gy) and
+    L2-normalized. The samples are whole pixels apart, so they share one
+    bilinear fraction ``f`` per axis, and each cell is a weighted sum over
+    three window rows and three columns with weights ``(1 - f) / 2``, ``1/2``
+    and ``f / 2``: ``By @ window @ Ax`` over the keypoint's 17x17 window of
+    each gradient plane. Differentiation removes intensity bias and the
     normalization removes gain, so descriptors are invariant to affine
     intensity changes by construction. Keypoints whose patch leaves the
     image (or has no gradient energy) are dropped and logged.
@@ -252,49 +258,29 @@ def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.nd
     gray = np.asarray(gray, dtype=np.float32)
     h, w = gray.shape
     if len(keypoints) == 0:
-        return np.zeros((0, DESCRIPTOR_DIM)), keypoints
+        return np.zeros((0, DESCRIPTOR_DIM), dtype=np.float32), keypoints
 
     smoothed = gaussian_filter(gray, sigma=2.0, mode="nearest")
     gy, gx = np.gradient(smoothed)
 
-    offsets = np.arange(_PATCH, dtype=np.float64) - (_PATCH - 1) / 2.0  # cell centers
-
     xy = keypoints[:, :2]
-    in_bounds = (
-        (xy[:, 0] >= _PATCH_PAD)
-        & (xy[:, 0] <= w - 1 - _PATCH_PAD)
-        & (xy[:, 1] >= _PATCH_PAD)
-        & (xy[:, 1] <= h - 1 - _PATCH_PAD)
-    )
+    in_bounds = np.all((xy >= _PATCH_PAD) & (xy <= np.array([w, h]) - 1 - _PATCH_PAD), axis=1)
     dropped = int((~in_bounds).sum())
+    sel = np.flatnonzero(in_bounds)
 
-    sel = np.nonzero(in_bounds)[0]
-    # Patch row i, column j samples (x + offsets[j], y + offsets[i]); the
-    # pad keeps every sample and its +1 neighbours inside the plane. Floor,
-    # fraction and flat corner index are shared by both gradient planes.
-    px = xy[sel, 0][:, None] + offsets
-    py = xy[sel, 1][:, None] + offsets
-    x0, y0 = np.floor(px), np.floor(py)
-    fx = (px - x0).astype(np.float32)[:, None, :]
-    fy = (py - y0).astype(np.float32)[:, :, None]
-    corner = (y0.astype(np.intp) * w)[:, :, None] + x0.astype(np.intp)[:, None, :]
+    # Patch sample j sits at x - 7.5 + j; the pad keeps the window, from the
+    # first sample's floor to 16 pixels past it, inside the plane.
+    first = xy[sel] - (_PATCH - 1) / 2.0
+    base = np.floor(first)
+    x0, y0 = base.astype(np.intp).T
+    fx, fy = (first - base).astype(np.float32).T
+    side = np.arange(_PATCH + 1)
+    window = ((y0[:, None] + side) * w)[:, :, None] + (x0[:, None] + side)[:, None, :]
+    ax = _cell_weights(fx)
+    by = _cell_weights(fy).transpose(0, 2, 1)
+    cells = [by @ plane.ravel()[window] @ ax for plane in (gx, gy)]  # (n, 8, 8) each
 
-    def sample(plane):
-        flat = plane.ravel()
-        top = flat[corner] * (1 - fx) + flat[corner + 1] * fx
-        bot = flat[corner + w] * (1 - fx) + flat[corner + (w + 1)] * fx
-        return top * (1 - fy) + bot * fy
-
-    patch_gx = sample(gx)
-    patch_gy = sample(gy)
-
-    # 2x2 average pooling down to 8x8 cells, then interleave (gx, gy)
-    def pool(p):
-        k = p.reshape(len(sel), _PATCH // 2, 2, _PATCH // 2, 2)
-        return k.mean(axis=(2, 4))
-
-    vec = np.stack([pool(patch_gx), pool(patch_gy)], axis=-1).reshape(len(sel), DESCRIPTOR_DIM)
-    vec = vec.astype(np.float64)
+    vec = np.stack(cells, axis=-1).reshape(len(sel), DESCRIPTOR_DIM)  # interleaved (gx, gy)
     norms = np.linalg.norm(vec, axis=1)
     has_energy = norms > 1e-9
     dropped += int((~has_energy).sum())
@@ -303,6 +289,18 @@ def describe(gray: np.ndarray, keypoints: np.ndarray) -> tuple[np.ndarray, np.nd
     if dropped:
         logger.debug("describe: dropped %d/%d keypoints (patch out of bounds or flat)", dropped, len(keypoints))
     return vec, keypoints[sel[has_energy]]
+
+
+def _cell_weights(f: np.ndarray) -> np.ndarray:
+    """``(n, 17, 8)`` float32 weights that pool window rows (or columns)
+    ``2c, 2c + 1, 2c + 2`` into cell ``c`` by ``(1 - f) / 2, 1/2, f / 2``:
+    the 2-pixel average of the bilinear samples at fraction ``f``."""
+    cells = _PATCH // 2
+    out = np.zeros((len(f), _PATCH + 1, cells), dtype=np.float32)
+    rows = 2 * np.arange(cells)[:, None] + np.arange(3)
+    weights = np.stack([(1 - f) / 2, np.full_like(f, 0.5), f / 2], axis=1)  # (n, 3)
+    out[:, rows, np.arange(cells)[:, None]] = weights[:, None, :]
+    return out
 
 
 def build_descriptor_set(gray: np.ndarray, params: MatchParams) -> DescriptorSet:
@@ -315,36 +313,29 @@ def build_descriptor_set(gray: np.ndarray, params: MatchParams) -> DescriptorSet
 
 
 def match_descriptors(query: np.ndarray, train: np.ndarray, ratio: float) -> np.ndarray:
-    """Nearest-neighbor matches as ``(m, 2)`` rows of ``(query, train)``
-    indices, in query order.
+    """Nearest-neighbor matches of float32 unit rows as ``(m, 2)`` rows of
+    ``(query, train)`` indices, in query order.
 
-    Each query keeps its nearest train neighbor when the pair is mutually
-    best and the nearest beats the second nearest by the ratio. With fewer
-    than two train descriptors the ratio test cannot run and only the
-    mutual check applies (documented degenerate path). Ties resolve to the
-    lowest index, so the output is deterministic.
+    For unit rows the squared distance is ``2 - 2 q.t``, so neighbors rank
+    by the float32 dot product ``query @ train.T``, highest first. Each
+    query keeps its nearest train neighbor when the pair is mutually best
+    and the nearest squared distance is below ``ratio**2`` times the second
+    nearest. With fewer than two train descriptors the ratio test cannot
+    run and only the mutual check applies (documented degenerate path).
+    Ties resolve to the lowest index, so the output is deterministic.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
-    query = np.asarray(query, dtype=np.float64)
-    train = np.asarray(train, dtype=np.float64)
     if len(query) == 0 or len(train) == 0:
         return np.zeros((0, 2), dtype=np.intp)
 
-    d2 = (
-        np.sum(query * query, axis=1)[:, None]
-        + np.sum(train * train, axis=1)[None, :]
-        - 2.0 * (query @ train.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
-
-    nearest = np.argmin(dist, axis=1)
-    best_for_train = np.argmin(dist, axis=0)
+    sim = np.asarray(query, dtype=np.float32) @ np.asarray(train, dtype=np.float32).T
+    nearest = np.argmax(sim, axis=1)
+    best_for_train = np.argmax(sim, axis=0)
     q = np.flatnonzero(best_for_train[nearest] == np.arange(len(query)))
     if len(train) >= 2:
-        second = np.partition(dist[q], 1, axis=1)[:, 1]
-        q = q[dist[q, nearest[q]] < ratio * second]
+        second, best = np.partition(sim[q], -2, axis=1)[:, -2:].T
+        q = q[np.maximum(2 - 2 * best, 0) < ratio**2 * np.maximum(2 - 2 * second, 0)]
     return np.stack([q, nearest[q]], axis=1)
 
 

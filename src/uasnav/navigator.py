@@ -161,7 +161,7 @@ def _load_entry(path: Path, key: str, image_size: tuple[int, int]) -> Descriptor
     try:
         with np.load(path, allow_pickle=False) as entry:
             kps, desc = entry["keypoints"], entry["descriptors"]
-            if str(entry["key"]) == key and kps.dtype == desc.dtype == np.float64 and (
+            if str(entry["key"]) == key and (kps.dtype, desc.dtype) == (np.float64, np.float32) and (
                 kps.shape == (len(desc), 3) and desc.shape[1:] == (matching.DESCRIPTOR_DIM,)
             ):
                 return DescriptorSet(keypoints=kps, descriptors=desc, image_size=image_size)

@@ -1,11 +1,15 @@
-"""Byte-identity of the matching kernels against the versions they replaced.
+"""The matching kernels against the versions they replaced.
 
 The references below are the earlier ``detect_keypoints`` (a scipy
-``maximum_filter`` and a greedy per-candidate suppression loop),
-``describe`` with its ``_bilinear`` gather, and ``estimate_affine_ransac``
-(every hypothesis scored at once, einsum scoring, over the same
-``_ransac_triples`` draws). Keypoints, descriptors, affine matrices and
-masks must match them bit for bit.
+``maximum_filter`` and a greedy per-candidate suppression loop), the
+float64 ``describe`` with its ``_bilinear`` gather and 2x2 pooling, the
+float64 ``match_descriptors`` that ranked by ``sqrt`` distances, and
+``estimate_affine_ransac`` (every hypothesis scored at once, einsum
+scoring, over the same ``_ransac_triples`` draws). Keypoints, kept rows,
+affine matrices and masks must match them bit for bit; descriptors are
+float32 and within ``DESCRIPTOR_TOL`` of the reference; the pair lists
+equal the reference's except where its float64 decision is within
+``MARGIN_TOL`` of a tie.
 """
 
 import math
@@ -17,7 +21,7 @@ from scipy.ndimage import gaussian_filter, maximum_filter
 
 from uasnav import matching
 from uasnav.errors import BoundsError, DegenerateGeometryError, InsufficientMatchesError
-from uasnav.grid import LandmarkId, landmark_position
+from uasnav.grid import Action, LandmarkId, landmark_position, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, landmark_descriptor_image, render_observation
 from uasnav.matching import (
     _MIN_IMAGE_SIDE,
@@ -33,8 +37,12 @@ from uasnav.matching import (
     describe,
     detect_keypoints,
     estimate_affine_ransac,
+    match_descriptors,
 )
 from uasnav.raster import to_gray
+
+DESCRIPTOR_TOL = 1e-6  # float32 window sums against the float64 pooled patch
+MARGIN_TOL = 1e-5      # relative float64 margin below which a decision may flip
 
 
 def _reference_candidates(gray):
@@ -185,6 +193,48 @@ def _reference_ransac(src, dst, inlier_tol_px, iterations, rng_seed):
     return model, final_mask
 
 
+def _reference_distances(query, train):
+    """Float64 Euclidean distances from the norm sums and the dot product."""
+    query = np.asarray(query, dtype=np.float64)
+    train = np.asarray(train, dtype=np.float64)
+    d2 = (
+        np.sum(query * query, axis=1)[:, None]
+        + np.sum(train * train, axis=1)[None, :]
+        - 2.0 * (query @ train.T)
+    )
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def _reference_match(query, train, ratio):
+    """The float64 matcher: ``argmin`` rows and columns of the distances,
+    then the ratio test on ``sqrt`` distances."""
+    if len(query) == 0 or len(train) == 0:
+        return np.zeros((0, 2), dtype=np.intp)
+    dist = _reference_distances(query, train)
+    nearest = np.argmin(dist, axis=1)
+    best_for_train = np.argmin(dist, axis=0)
+    q = np.flatnonzero(best_for_train[nearest] == np.arange(len(query)))
+    if len(train) >= 2:
+        second = np.partition(dist[q], 1, axis=1)[:, 1]
+        q = q[dist[q, nearest[q]] < ratio * second]
+    return np.stack([q, nearest[q]], axis=1)
+
+
+def _near_tie_rows(dist, ratio):
+    """Query rows whose float64 decision is within ``MARGIN_TOL`` of a tie:
+    the nearest distance against ``ratio`` times the second, or the best
+    against the second best in the nearest train's column."""
+    rows = np.sort(dist, axis=1)
+    nearest = np.argmin(dist, axis=1)
+    cols = np.sort(dist[:, nearest], axis=0)  # column j is query j's nearest train
+    tied = np.zeros(len(dist), dtype=bool)
+    if dist.shape[1] >= 2:
+        tied |= np.abs(rows[:, 0] - ratio * rows[:, 1]) <= MARGIN_TOL * ratio * rows[:, 1]
+    if dist.shape[0] >= 2:
+        tied |= cols[1] - cols[0] <= MARGIN_TOL * cols[1]
+    return np.flatnonzero(tied)
+
+
 def _assert_same_detection(gray, max_keypoints):
     ref = _reference_detect(gray, max_keypoints)
     got = detect_keypoints(gray, max_keypoints)
@@ -192,7 +242,8 @@ def _assert_same_detection(gray, max_keypoints):
     assert got.tobytes() == ref.tobytes()
     ref_desc, ref_kept = _reference_describe(gray, ref)
     desc, kept = describe(gray, got)
-    assert desc.shape == ref_desc.shape and desc.tobytes() == ref_desc.tobytes()
+    assert desc.dtype == np.float32 and desc.shape == ref_desc.shape
+    assert np.abs(desc - ref_desc).max(initial=0.0) <= DESCRIPTOR_TOL
     assert kept.tobytes() == ref_kept.tobytes()
     return got
 
@@ -280,6 +331,65 @@ class TestDetectMatchesReference:
         _assert_same_detection(np.full((40, 40), 7.0), 10)
         with pytest.raises(BoundsError):
             detect_keypoints(np.zeros((_MIN_IMAGE_SIDE - 1, 64)), 10)
+
+
+@pytest.fixture(scope="module")
+def crop_descriptors(world_and_reg, grid):
+    """Each landmark crop's ``describe`` and ``_reference_describe``
+    descriptors over the same keypoints, described once per module."""
+    world, reg = world_and_reg
+    cache = {}
+
+    def get(lid):
+        if lid not in cache:
+            gray = to_gray(landmark_descriptor_image(world, reg, grid, lid))
+            kps = detect_keypoints(gray, 500)
+            cache[lid] = describe(gray, kps)[0], _reference_describe(gray, kps)[0]
+        return cache[lid]
+
+    return get
+
+
+class TestMatchMatchesReference:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        cell=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        action=st.sampled_from(list(Action)),
+        along=st.floats(0.0, 40.0),
+        rotation=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_render_pairs_equal_reference_off_ties(
+        self, world_and_reg, grid, crop_descriptors, cell, action, along, rotation, seed,
+    ):
+        # a criterion-6 view up to 40 m along track from its landmark, matched
+        # against the landmark and its four neighbours
+        world, reg = world_and_reg
+        lid = LandmarkId(*cell)
+        x, y = landmark_position(grid, lid) + along * np.array(action.displacement)
+        rng = np.random.default_rng(seed)
+        perturb = PerturbationSpec(
+            gain=float(rng.uniform(0.7, 1.4)), bias=float(rng.uniform(-20.0, 20.0)),
+            noise_sigma=float(rng.uniform(0.0, 5.0)), translation_jitter=2.0, rng_seed=seed,
+        )
+        gray = render_observation(world, reg, Pose(x, y, math.radians(rotation)), perturb)
+        kps = detect_keypoints(gray, 500)
+        desc, ref_desc = describe(gray, kps)[0], _reference_describe(gray, kps)[0]
+        for nid in [lid, *neighbors(grid, lid).values()]:
+            train, ref_train = crop_descriptors(nid)
+            got = match_descriptors(desc, train, 0.8)
+            ref = _reference_match(ref_desc, ref_train, 0.8)
+            tied = _near_tie_rows(_reference_distances(ref_desc, ref_train), 0.8)
+            assert np.array_equal(got[~np.isin(got[:, 0], tied)], ref[~np.isin(ref[:, 0], tied)]), nid
+
+    def test_single_train_and_empty_sides(self):
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(6, DESCRIPTOR_DIM))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        for train in (q[:1], q[:0]):
+            for query in (q, q[:0]):
+                got = match_descriptors(query.astype(np.float32), train.astype(np.float32), 0.8)
+                assert np.array_equal(got, _reference_match(query, train, 0.8))
 
 
 def _affine_set(n, outlier_share, noise, data_seed):

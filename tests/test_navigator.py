@@ -13,7 +13,7 @@ from uasnav import matching, navigator
 from uasnav.errors import InvalidStateError, PolicyInconsistencyError
 from uasnav.grid import Action, GridSpec, LandmarkId, landmark_position, manhattan, neighbors
 from uasnav.imagery import PerturbationSpec, Pose, WorldSpec, build_world, render_observation
-from uasnav.matching import AffineTransform, MatchParams, MatchResult, build_descriptor_set
+from uasnav.matching import DESCRIPTOR_DIM, AffineTransform, MatchParams, MatchResult, build_descriptor_set
 from uasnav.navigator import (
     Gate,
     LandmarkLibrary,
@@ -26,6 +26,7 @@ from uasnav.navigator import (
     write_mission_csv,
 )
 from uasnav.policy import PolicyTable, greedy_policy, value_iteration
+from uasnav.raster import RasterImage
 
 # SHA-256 of the attempted ticks of the reference mission flown in
 # test_mission_is_deterministic. A change that alters perception numbers
@@ -999,7 +1000,7 @@ class TestLandmarkStore:
         assert (restored.described, restored.loaded) == (1, 0)
 
     @pytest.mark.parametrize("damage", [
-        "truncate", "empty", "garbage", "npy", "no_descriptors", "float32", "short_rows", "wrong_width",
+        "truncate", "empty", "garbage", "npy", "no_descriptors", "float64", "short_rows", "wrong_width",
     ])
     def test_unreadable_entry_is_described_and_rewritten(self, world_and_reg, grid, library, tmp_path, damage):
         self._library(world_and_reg, grid, tmp_path).get(STORE_LM)
@@ -1018,8 +1019,8 @@ class TestLandmarkStore:
         else:
             if damage == "no_descriptors":
                 del arrays["descriptors"]
-            elif damage == "float32":
-                arrays["descriptors"] = arrays["descriptors"].astype(np.float32)
+            elif damage == "float64":  # as stored before descriptors became float32
+                arrays["descriptors"] = arrays["descriptors"].astype(np.float64)
             elif damage == "short_rows":
                 arrays["keypoints"] = arrays["keypoints"][:-1]
             else:
@@ -1034,6 +1035,16 @@ class TestLandmarkStore:
         assert _same_set(reread.get(STORE_LM), got)
         assert reread.loaded == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == ["lm_4_4.npz"]
+
+    def test_cornerless_crop_entry_is_loaded(self, world_and_reg, grid, tmp_path):
+        world, reg = world_and_reg
+        flat = RasterImage(np.full_like(world.pixels, 90)), reg
+        described = self._library(flat, grid, tmp_path).get(STORE_LM)
+        assert described.keypoints.shape == (0, 3) and described.descriptors.shape == (0, DESCRIPTOR_DIM)
+        second = self._library(flat, grid, tmp_path)
+        loaded = second.get(STORE_LM)
+        assert (second.described, second.loaded) == (0, 1)
+        assert _same_set(loaded, described) and loaded.descriptors.dtype == np.float32
 
     def test_unwritable_store_still_flies(self, world_and_reg, grid, library, tmp_path, caplog):
         missing = tmp_path / "no_such_dir"
