@@ -10,11 +10,11 @@ reference file read back to the same values. Command-line overrides
 (``section.key=value``) are applied on top of the file and win.
 
 Defaults live in the dataclasses (``GridSpec``, ``RewardSpec``,
-``TrainConfig``, ``WorldSpec``, ``MatchParams``, ``PerturbationSpec``,
-``MissionConfig``): ``_SCHEMA`` binds each key to the field it feeds and
-reads the default and its type from that field. Only keys that feed no
-field (paths, goal and start cells, evaluation settings, the mission seed)
-hold a literal default here.
+``TrainConfig``, ``WorldSpec``, ``MatchParams``, ``PerturbationSpec``):
+``_SCHEMA`` binds each key to the field it feeds and reads the default
+and its type from that field. Only keys that feed no field (paths, goal
+and start cells, evaluation settings, the mission seed) hold a literal
+default here.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "mission": {
         "start_col": 0,
         "start_row": 0,
-        "control_step_m": (MissionConfig, "control_step_m"),
-        "observation_period": (MissionConfig, "observation_period"),
-        "max_ticks": (MissionConfig, "max_ticks"),
         "gain": (PerturbationSpec, "gain"),
         "bias": (PerturbationSpec, "bias"),
         "noise_sigma": (PerturbationSpec, "noise_sigma"),
@@ -219,17 +216,20 @@ def parse_overrides(pairs: list[str]) -> dict[tuple[str, str], str]:
 
 
 def load_config(path=None, overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
-    """Read, merge, validate; unknown sections or keys, or one ingest path
-    set without the other, raise ConfigError."""
+    """Read, merge, validate; a file that cannot be read, unknown sections
+    (``[DEFAULT]`` among them) or keys, or one ingest path set without the
+    other, raise ConfigError."""
     file_values: dict[str, dict[str, str]] = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        parser = configparser.ConfigParser(interpolation=None)
+        # no header can name a newline, so [DEFAULT] is a section like any other
+        parser = configparser.ConfigParser(interpolation=None, default_section="\n")
         try:
-            parser.read(p, encoding="utf-8")
-        except (configparser.Error, UnicodeDecodeError) as exc:
+            with open(p, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {p}") from None
+        except (OSError, configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{p}: {exc}") from None
         for section in parser.sections():
             if section not in _SCHEMA:

@@ -38,7 +38,9 @@ class DegenerateGeometryError(MatchingError, ValueError):
 
 
 class PolicyInconsistencyError(UasNavError, ValueError):
-    """A policy commanded a move off the grid; optimal policies never do."""
+    """A policy's route commands a move off the grid, reaches a cell without
+    an entry, or returns to a cell it already left; an optimal policy's
+    route from any start does none of these."""
 
 
 class ConfigError(UasNavError, ValueError):

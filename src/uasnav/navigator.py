@@ -48,6 +48,8 @@ from . import matching, raster, svgplot
 logger = logging.getLogger(__name__)
 
 
+CONTROL_STEP_M = 1.0  # metres flown per tick
+OBSERVATION_PERIOD = 2  # ticks per match attempt
 LEG_SLACK_M = 10.0  # extra travel allowed past a landmark before giving up
 _SVG_DOWNSAMPLE = 4  # world pixels per trajectory-overlay pixel
 
@@ -63,19 +65,12 @@ class MissionConfig:
     start: LandmarkId
     goal: LandmarkId
     policy: PolicyTable
-    control_step_m: float = 1.0
-    observation_period: int = 2  # ticks per match attempt
-    max_ticks: int = 4000
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
     match_params: MatchParams = field(default_factory=MatchParams)
 
     def __post_init__(self):
         if self.start == self.goal:
             raise InvalidStateError("mission start equals goal")
-        if not (math.isfinite(self.control_step_m) and self.control_step_m > 0):
-            raise ValueError("control step must be positive and finite")
-        if self.observation_period < 1:
-            raise ValueError("observation period must be >= 1 tick")
 
 
 @dataclass
@@ -240,17 +235,18 @@ def run_mission(
 ) -> MissionLog:
     """Fly from start to goal under the policy; deterministic given seeds.
 
-    Before takeoff the policy is walked once, from the start to the goal or
-    to the first repeated cell, and each leg's target is described; a route
-    cell without a policy entry or with a command off the grid raises
-    ``PolicyInconsistencyError`` before the first render.
+    Before takeoff the policy is walked once from the start to the goal,
+    and each leg's target is described; a route cell without a policy
+    entry, a command off the grid or a route that returns to a cell it
+    already left raises ``PolicyInconsistencyError`` before the first
+    render. The flight is then one pass over the walked legs.
 
     Each leg starts from the true, drifted pose of the last arrival. Each
-    tick advances the pose by ``control_step_m`` along the commanded
+    tick advances the pose by ``CONTROL_STEP_M`` along the commanded
     cardinal direction, and the estimate ``est`` with it. ``est`` is the
     view centre that the latest solid match read: its target's position
     plus ``MatchResult.offset_m``, in world meters like every position
-    here. Every ``observation_period`` ticks an observation is rendered
+    here. Every ``OBSERVATION_PERIOD`` ticks an observation is rendered
     and matched against the target, unless the prediction, ``est``'s
     along-track distance to the target, exceeds half a sampling interval;
     so a leg renders at the observation tick nearest its predicted abeam.
@@ -261,19 +257,10 @@ def run_mission(
 
     A leg that overruns its travel budget, or whose jittered footprint
     leaves the world raster, ends the mission in MATCH_FAILURE if the craft
-    passed near the landmark (recognition failed), else TIMEOUT. Running out
-    of ``max_ticks`` is TIMEOUT only while the leg has travel budget left.
+    passed near the landmark (recognition failed), else TIMEOUT.
     """
     grid.check(cfg.start)
     grid.check(cfg.goal)
-    diameter_m = (grid.cols - 1) * grid.spacing_x + (grid.rows - 1) * grid.spacing_y
-    if cfg.max_ticks * cfg.control_step_m <= diameter_m:
-        raise InvalidStateError("max_ticks too small to cross the grid")
-    if cfg.control_step_m > diameter_m:
-        # such a step flies past every landmark between two ticks
-        raise InvalidStateError(
-            f"control step {cfg.control_step_m:g} m exceeds the grid's diameter {diameter_m:g} m"
-        )
     params = cfg.match_params
     if library.params.max_keypoints != params.max_keypoints:
         # the library's descriptor sets were detected with its own cap
@@ -286,7 +273,9 @@ def run_mission(
     # for a cold fill of its target
     legs: dict[LandmarkId, tuple[Action, LandmarkId]] = {}
     cell = cfg.start
-    while cell != cfg.goal and cell not in legs:
+    while cell != cfg.goal:
+        if cell in legs:
+            raise PolicyInconsistencyError(f"policy route revisits ({cell.col},{cell.row})")
         try:
             action = cfg.policy.action_at(cell)
         except KeyError:
@@ -297,29 +286,29 @@ def run_mission(
         cell = target
 
     rng = np.random.default_rng(cfg.perturbation.rng_seed)
-    half_interval = cfg.control_step_m * cfg.observation_period / 2.0
+    half_interval = CONTROL_STEP_M * OBSERVATION_PERIOD / 2.0
     near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
     pose = landmark_position(grid, cfg.start).astype(np.float64)
     records: list[TickRecord] = []
-    cell, est = cfg.start, None  # est: the view centre the last solid match read, dead-reckoned since
-    while cell != cfg.goal:
-        action, target = legs[cell]
+    outcome, nearest_miss = MissionOutcome.REACHED_GOAL, None
+    est = None  # the view centre the last solid match read, dead-reckoned since
+    for cell, (action, target) in legs.items():
         target_pos = landmark_position(grid, target)
-        step = cfg.control_step_m * np.array(action.displacement, dtype=np.float64)
+        step = CONTROL_STEP_M * np.array(action.displacement, dtype=np.float64)
         leg_budget = (
             float(np.linalg.norm(target_pos - pose)) + 2.0 * params.distance_threshold_m + LEG_SLACK_M
         )
         travelled, min_true = 0.0, math.inf
-        while travelled < leg_budget and len(records) < cfg.max_ticks:
+        while travelled < leg_budget:
             pose = pose + step
             if est is not None:
                 est = est + step
-            travelled += cfg.control_step_m
+            travelled += CONTROL_STEP_M
             min_true = min(min_true, float(np.linalg.norm(pose - target_pos)))
             rec = TickRecord(tick=len(records) + 1, x=float(pose[0]), y=float(pose[1]), action=action)
             records.append(rec)
             # no render while est reads the target more than half an interval ahead
-            if rec.tick % cfg.observation_period != 0 or (
+            if rec.tick % OBSERVATION_PERIOD != 0 or (
                 est is not None and (target_pos - est) @ action.displacement > half_interval
             ):
                 continue
@@ -329,7 +318,7 @@ def run_mission(
                 leg_budget = travelled  # the craft can no longer observe this leg: the loop ends
                 continue
             obs_set = build_descriptor_set(obs, params)
-            attempt = rec.tick // cfg.observation_period
+            attempt = rec.tick // OBSERVATION_PERIOD
             # one RANSAC seed per attempt, for the target and any rival fit
             attempt_params = replace(params, rng_seed=params.rng_seed + attempt)
             res = match_images(obs_set, library.get(target), attempt_params, reg.gsd, target=target)
@@ -349,23 +338,18 @@ def run_mission(
                 )
                 break
         else:
-            break  # the leg ended short of its target
-        cell = target
-
-    # a leg that overran failed recognition if the craft passed near the landmark
-    nearest_miss = None
-    if cell == cfg.goal:
-        outcome = MissionOutcome.REACHED_GOAL
-    elif travelled >= leg_budget and min_true <= near_pass_m:
-        outcome, nearest_miss = MissionOutcome.MATCH_FAILURE, min_true
-    else:
-        outcome = MissionOutcome.TIMEOUT
+            # the leg ended short: recognition failed if the craft passed near the landmark
+            if min_true <= near_pass_m:
+                outcome, nearest_miss = MissionOutcome.MATCH_FAILURE, min_true
+            else:
+                outcome = MissionOutcome.TIMEOUT
+            break
     return MissionLog(
         start=cfg.start,
         goal=cfg.goal,
         records=records,
         outcome=outcome,
-        distance_flown_m=len(records) * cfg.control_step_m,
+        distance_flown_m=len(records) * CONTROL_STEP_M,
         nearest_miss_m=nearest_miss,
     )
 

@@ -6,7 +6,6 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from uasnav.errors import ConfigError
 from uasnav.grid import Action, GridSpec, LandmarkId, RewardSpec
 from uasnav.imagery import PerturbationSpec, WorldSpec, landmark_descriptor_image
 from uasnav.matching import MatchParams
-from uasnav.navigator import MissionConfig
 from uasnav.policy import PolicyTable, TrainConfig, greedy_policy, save_policy, value_iteration
 from uasnav.raster import RasterImage, read_pnm, write_pnm
 
@@ -42,9 +40,6 @@ class TestConfig:
         assert cfg.world_spec() == WorldSpec()
         assert cfg.match_params() == MatchParams()
         assert cfg.perturbation() == PerturbationSpec(rng_seed=11)
-        kinematics = {f.name: f.default for f in fields(MissionConfig)}
-        for key in ("control_step_m", "observation_period", "max_ticks"):
-            assert cfg["mission"][key] == kinematics[key]
 
     def test_file_values_override_defaults(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -87,6 +82,14 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n[grid]\ncols = 6\n"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser's own [DEFAULT] feeds no section alone, and every section beside it
+        p = tmp_path / "run.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(p)
 
     def test_unparsable_file_rejected(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -547,36 +550,50 @@ class TestCliBuildEnvAndFly:
         assert last.startswith("status=error code=2")
         assert "rotation_jitter_rad" in last
 
-    def _fly_with_oracle_policy(self, built, tmp_path, policy, override):
+    def _fly_with_oracle_policy(self, built, tmp_path, policy, *overrides):
         save_policy(policy, tmp_path / "policy.txt")
         return main([
             "fly",
             "--set", f"run.output_dir={built}",
             "--policy", str(tmp_path / "policy.txt"),
-            "--set", override,
+            *(arg for override in overrides for arg in ("--set", override)),
         ])
 
-    def test_fly_rejects_zero_control_step(self, built, tmp_path, optimal_policy, capsys):
-        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.control_step_m=0")
+    @pytest.mark.parametrize("override", [
+        "mission.control_step_m=0",
+        "mission.observation_period=2",
+        "mission.max_ticks=10",
+    ])
+    def test_fly_rejects_kinematics(self, built, tmp_path, optimal_policy, capsys, override):
+        # the flight's kinematics are constants and it has no tick cap: no such keys
+        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, override)
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 2
         assert last.startswith("status=error code=2")
-        assert "control step" in last
+        assert f"unknown key {override.split('=')[0].split('.')[1]!r} in [mission]" in last
 
-    @pytest.mark.parametrize("step", ["631", "1e308"])
-    def test_fly_rejects_control_step_past_the_grid_diameter(self, built, tmp_path, optimal_policy, capsys, step):
-        # the default grid's diameter is 9 * 40 + 9 * 30 = 630 m; 1e308 m
-        # overflowed the pixel mapping and timed out after one tick
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, f"mission.control_step_m={step}")
+    def test_fly_cyclic_policy_exits_3(self, built, tmp_path, optimal_policy, capsys):
+        # (2,5) -> (3,5) -> (4,5) -> back to (3,5): refused before takeoff
+        best_action = dict(optimal_policy.best_action)
+        best_action[LandmarkId(4, 5)] = Action.LEFT
+        cyclic = PolicyTable(best_action, optimal_policy.goal, optimal_policy.cols, optimal_policy.rows)
+        code = self._fly_with_oracle_policy(
+            built, tmp_path, cyclic, "mission.start_col=2", "mission.start_row=5"
+        )
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert code == 3
         assert last.startswith("status=error code=3")
-        assert "control step" in last and "diameter 630 m" in last
+        assert "revisits (3,5)" in last
+
+    def test_fly_unreadable_config_exits_2(self, tmp_path, capsys):
+        # a directory: configparser.read skips what it cannot open
+        code = main(["fly", "--config", str(tmp_path), "--set", f"run.output_dir={tmp_path}"])
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert code == 2
+        assert last.startswith("status=error code=2")
+        assert str(tmp_path) in last
 
     @pytest.mark.parametrize("override", [
-        "mission.control_step_m=nan",
         "mission.translation_jitter_m=inf",
         "mission.gain=nan",
         "mission.noise_sigma=nan",
@@ -633,13 +650,6 @@ class TestCliBuildEnvAndFly:
         assert last.startswith("status=error code=2")
         assert "'mode'" in last
         assert not out.exists()
-
-    def test_fly_too_few_ticks_is_runtime_error(self, built, tmp_path, optimal_policy, capsys):
-        code = self._fly_with_oracle_policy(built, tmp_path, optimal_policy, "mission.max_ticks=10")
-        last = capsys.readouterr().out.strip().splitlines()[-1]
-        assert code == 3
-        assert last.startswith("status=error code=3")
-        assert "max_ticks" in last
 
     @pytest.mark.parametrize("gsd", ["nan", "inf"])
     def test_fly_non_finite_sidecar_exits_3(self, built, tmp_path, optimal_policy, capsys, gsd):

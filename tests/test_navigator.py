@@ -15,6 +15,8 @@ from uasnav.grid import Action, GridSpec, LandmarkId, landmark_position, manhatt
 from uasnav.imagery import PerturbationSpec, Pose, WorldSpec, build_world, render_observation
 from uasnav.matching import DESCRIPTOR_DIM, AffineTransform, MatchParams, MatchResult, build_descriptor_set
 from uasnav.navigator import (
+    CONTROL_STEP_M,
+    OBSERVATION_PERIOD,
     Gate,
     LandmarkLibrary,
     MissionConfig,
@@ -95,9 +97,9 @@ def short_leg():
     return world, reg, grid, library, policy
 
 
-def _leg_ticks(log, cfg, after, until):
+def _leg_ticks(log, after, until):
     """The observation-tick records after tick ``after`` up to ``until``."""
-    return [r for r in log.records[after:until] if r.tick % cfg.observation_period == 0]
+    return [r for r in log.records[after:until] if r.tick % OBSERVATION_PERIOD == 0]
 
 
 class TestExpectedLandmark:
@@ -125,7 +127,7 @@ def _result(inliers, east, north, with_affine=True):
 
 
 class TestClosestApproach:
-    HALF = 1.0  # half a sampling interval at the default kinematics
+    HALF = 1.0  # half a sampling interval
     PARAMS = MatchParams()  # 30 inliers, 5 m distance threshold
     WEAK = (Gate.NO_MODEL, Gate.FEW_INLIERS)
     NORTH = Action.FORWARD.displacement  # along-track reads minus the offset's north part
@@ -285,17 +287,6 @@ class TestMissionConfig:
         with pytest.raises(InvalidStateError):
             MissionConfig(start=goal, goal=goal, policy=optimal_policy)
 
-    def test_bad_kinematics_rejected(self, optimal_policy, goal):
-        with pytest.raises(ValueError):
-            MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=optimal_policy, control_step_m=0.0)
-        with pytest.raises(ValueError):
-            MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=optimal_policy, observation_period=0)
-
-    @pytest.mark.parametrize("step", [math.nan, math.inf])
-    def test_non_finite_control_step_rejected(self, optimal_policy, goal, step):
-        with pytest.raises(ValueError, match="control step"):
-            MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=optimal_policy, control_step_m=step)
-
 
 class TestMission:
     def test_adjacent_start_single_leg(self, world_and_reg, grid, optimal_policy, goal, library):
@@ -305,7 +296,7 @@ class TestMission:
         assert log.outcome == MissionOutcome.REACHED_GOAL
         assert len(log.arrivals) == 1
         # one leg of one row spacing, up to one sampling interval of latency
-        sampling = cfg.observation_period * cfg.control_step_m
+        sampling = OBSERVATION_PERIOD * CONTROL_STEP_M
         assert abs(log.distance_flown_m - grid.spacing_y) <= 2 * sampling
 
     def test_arrival_reuses_target_match(self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch):
@@ -416,7 +407,7 @@ class TestMission:
             cfg = MissionConfig(start=start, goal=goal, policy=optimal_policy, perturbation=perturb)
             log = run_mission(world, reg, grid, cfg, library=library)
             assert log.outcome == MissionOutcome.REACHED_GOAL
-            bound = cfg.match_params.distance_threshold_m + cfg.control_step_m
+            bound = cfg.match_params.distance_threshold_m + CONTROL_STEP_M
             for rec in log.arrivals:
                 pos = landmark_position(grid, rec.arrival)
                 assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
@@ -432,48 +423,16 @@ class TestMission:
         assert _attempt_digest(log1) == GOLDEN_MISSION_DIGEST
         assert hashlib.sha256(p1.read_bytes()).hexdigest() == GOLDEN_MISSION_CSV_SHA256
 
-    def test_cyclic_policy_times_out(self, world_and_reg, grid, goal, library):
-        world, reg = world_and_reg
-        cyclic = {}
-        for lid in grid.all_landmarks():
-            if lid == goal:
-                continue
-            cyclic[lid] = Action.RIGHT if lid.col < grid.cols - 1 else Action.LEFT
-        bad = PolicyTable(best_action=cyclic, goal=goal, cols=grid.cols, rows=grid.rows)
-        # the tick limit falls 2 ticks before an arrival, 2 m short of its landmark
-        cfg = MissionConfig(start=LandmarkId(0, 0), goal=goal, policy=bad, max_ticks=638)
-        log = run_mission(world, reg, grid, cfg, library=library)
-        target = expected_landmark(grid, log.arrivals[-1].arrival, log.records[-1].action)
-        last = log.records[-1]
-        near_pass_m = min(grid.spacing_x, grid.spacing_y) / 2.0
-        # a precondition: the craft is near the landmark, yet the tick limit is TIMEOUT
-        assert np.hypot(*(landmark_position(grid, target) - (last.x, last.y))) <= near_pass_m
-        assert log.outcome == MissionOutcome.TIMEOUT
-        assert log.nearest_miss_m is None
-        assert log.ticks == 638
-
-    @pytest.mark.parametrize(
-        "max_ticks, outcome, ticks, nearest_miss",
-        [
-            (59, MissionOutcome.TIMEOUT, 59, None),
-            (60, MissionOutcome.MATCH_FAILURE, 60, 0.0),
-            (61, MissionOutcome.MATCH_FAILURE, 60, 0.0),
-        ],
-    )
-    def test_travel_budget_ends_a_leg_before_the_tick_budget(
-        self, short_leg, max_ticks, outcome, ticks, nearest_miss
-    ):
+    def test_travel_budget_ends_a_leg(self, short_leg):
         # the one leg runs out of travel budget at tick 60 (40 m, twice the
-        # 5 m distance threshold and 10 m of slack): on that tick it ends by
-        # the near-pass rule even when it is also the last allowed tick, and
-        # the tick budget is TIMEOUT only while travel budget is left
+        # 5 m distance threshold and 10 m of slack), and the craft passed
+        # over the landmark: the near-pass rule makes it MATCH_FAILURE
         world, reg, grid, library, policy = short_leg
         cfg = MissionConfig(
-            start=LandmarkId(0, 0), goal=LandmarkId(1, 0), policy=policy,
-            max_ticks=max_ticks, match_params=library.params,
+            start=LandmarkId(0, 0), goal=LandmarkId(1, 0), policy=policy, match_params=library.params
         )
         log = run_mission(world, reg, grid, cfg, library=library)
-        assert (log.outcome, log.ticks, log.nearest_miss_m) == (outcome, ticks, nearest_miss)
+        assert (log.outcome, log.ticks, log.nearest_miss_m) == (MissionOutcome.MATCH_FAILURE, 60, 0.0)
 
     def test_unrecognizable_landmark_is_match_failure(self, world_and_reg, grid, optimal_policy, goal, library):
         world, reg = world_and_reg
@@ -578,6 +537,15 @@ class TestMission:
         message = self._fly_counting_renders(world_and_reg, grid, goal, library, monkeypatch, best_action)
         assert message == f"policy commands forward off the grid at (4,{grid.rows - 1})"
 
+    def test_revisiting_route_raises_before_takeoff(
+        self, world_and_reg, grid, optimal_policy, goal, library, monkeypatch
+    ):
+        # (2,5) -> (3,5) -> (4,5) -> back to (3,5): the route never reaches the goal
+        best_action = dict(optimal_policy.best_action)
+        best_action[LandmarkId(4, 5)] = Action.LEFT
+        message = self._fly_counting_renders(world_and_reg, grid, goal, library, monkeypatch, best_action)
+        assert message == "policy route revisits (3,5)"
+
 
 class TestSchedule:
     def test_shut_gate_renders_every_period(self, world_and_reg, grid, optimal_policy, goal, library):
@@ -590,11 +558,11 @@ class TestSchedule:
         log = run_mission(world, reg, grid, cfg, library=library)
         assert log.outcome == MissionOutcome.MATCH_FAILURE
         assert [r.attempted for r in log.records] == [
-            r.tick % cfg.observation_period == 0 for r in log.records
+            r.tick % OBSERVATION_PERIOD == 0 for r in log.records
         ]
 
     def test_golden_mission_skips_far_renders(self, golden_mission, tmp_path):
-        cfg, log = golden_mission
+        _, log = golden_mission
         assert log.outcome == MissionOutcome.REACHED_GOAL
         path = tmp_path / "mission.csv"
         write_mission_csv(log, path)
@@ -608,7 +576,7 @@ class TestSchedule:
         assert 0 < sum(row["attempted"] == "1" for row in rows) <= 12
         skipped = [
             row for row in rows
-            if int(row["tick"]) % cfg.observation_period == 0 and row["attempted"] == "0"
+            if int(row["tick"]) % OBSERVATION_PERIOD == 0 and row["attempted"] == "0"
         ]
         assert skipped
         for row in skipped:
@@ -618,15 +586,15 @@ class TestSchedule:
         # a leg after an arrival is seeded by the arrival's reading: it
         # renders no tick until the view centre that reading gave, dead-
         # reckoned since, is within half a sampling interval of abeam
-        cfg, log, _, ranked = golden_flight
-        margin = cfg.control_step_m * cfg.observation_period / 2.0
+        _, log, _, ranked = golden_flight
+        margin = CONTROL_STEP_M * OBSERVATION_PERIOD / 2.0
         assert margin == 1.0
         assert len(ranked) == len(log.arrivals) >= 2
         for arrival, res, nxt in zip(log.arrivals, ranked, log.arrivals[1:]):
             fix = landmark_position(grid, arrival.arrival) + res.offset_m
             reading = (landmark_position(grid, nxt.arrival) - fix) @ nxt.action.displacement
-            ticks = _leg_ticks(log, cfg, arrival.tick, nxt.tick)
-            predicted = [reading - (r.tick - arrival.tick) * cfg.control_step_m for r in ticks]
+            ticks = _leg_ticks(log, arrival.tick, nxt.tick)
+            predicted = [reading - (r.tick - arrival.tick) * CONTROL_STEP_M for r in ticks]
             first = next(i for i, r in enumerate(ticks) if r.attempted)
             assert first > 0  # no far render
             assert all(p > margin for p in predicted[:first])
@@ -651,7 +619,7 @@ class TestSchedule:
         cfg = MissionConfig(start=LandmarkId(4, 4), goal=goal, policy=optimal_policy)
         log = run_mission(world, reg, grid, cfg, library=library)
         assert log.outcome == MissionOutcome.REACHED_GOAL
-        ticks = _leg_ticks(log, cfg, 0, log.arrivals[0].tick)
+        ticks = _leg_ticks(log, 0, log.arrivals[0].tick)
         solid = [r.inliers >= cfg.match_params.min_inliers for r in ticks]
         assert solid.index(True) == 3
         assert all(r.attempted for r in ticks[:4])
@@ -734,7 +702,7 @@ class TestPerturbedArrivals:
         log = run_mission(world, reg, grid, cfg, library=library)
         assert log.outcome == MissionOutcome.REACHED_GOAL
         assert len(log.arrivals) == manhattan(start, goal)
-        bound = cfg.match_params.distance_threshold_m + cfg.control_step_m
+        bound = cfg.match_params.distance_threshold_m + CONTROL_STEP_M
         for rec in log.arrivals:
             pos = landmark_position(grid, rec.arrival)
             assert np.hypot(rec.x - pos[0], rec.y - pos[1]) <= bound
@@ -808,7 +776,7 @@ class TestReadingError:
         jitter at the default 0.75 m fit tolerance, but not with 2 m of it.
         """
         _, reg = world_and_reg
-        bound = MissionConfig.control_step_m * MissionConfig.observation_period / 2.0 + (
+        bound = CONTROL_STEP_M * OBSERVATION_PERIOD / 2.0 + (
             2.0 + match_params.inlier_tol_px * reg.gsd
         )
         assert bound == 3.75
@@ -830,7 +798,7 @@ class TestReadingError:
         # e, motion is exact, and the leg first renders at the observation
         # tick whose prediction from that reading is within h of abeam
         _, reg = world_and_reg
-        bound = MissionConfig.control_step_m * MissionConfig.observation_period / 2.0 + (
+        bound = CONTROL_STEP_M * OBSERVATION_PERIOD / 2.0 + (
             2.0 + match_params.inlier_tol_px * reg.gsd
         )
         assert bound == 3.75
